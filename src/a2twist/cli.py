@@ -1,7 +1,8 @@
 """Command-line entry point: dimension tables, verification suites, and the
 partition oracle, with machine-readable output.
 
-Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage errors.
+Exit codes: 0 on success, 1 on a verification mismatch or a suite that
+checked nothing, 2 on usage errors.
 All numeric output is integral or an exact rational string; no floats.
 """
 
@@ -206,6 +207,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.presentation_cutoff = min(args.cutoff, 12)
     if getattr(args, "cutoff", 0) < 0 or getattr(args, "parallelism", 1) < 1:
         parser.error("cutoff must be nonnegative and parallelism positive")
+    if args.command == "verify" and min(args.exactness_cutoff, args.presentation_cutoff) < 0:
+        parser.error("sub-cutoffs must be nonnegative")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -195,10 +195,6 @@ class EnvElement:
 
     # -- gradings and projections -------------------------------------------
 
-    def is_homogeneous(self) -> bool:
-        grades = {(monomial_charge(m), monomial_qweight4(m)) for m in self.terms}
-        return len(grades) <= 1
-
     def grade(self) -> Optional[Tuple[int, int]]:
         grades = {(monomial_charge(m), monomial_qweight4(m)) for m in self.terms}
         if len(grades) != 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
@@ -195,12 +195,23 @@ def _vertex_data(vec: LatticeVector) -> VertexData:
 VERTEX_VECS = {"a1": ALPHA1, "a2": ALPHA2, "a12": THETA}
 
 
-def _annihilation_terms(modes: Tuple[int, ...], f0: Fraction, f2: Fraction):
+@functools.lru_cache(maxsize=None)
+def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
+    """Per-quantum contraction factors kappa * <beta, beta> of the two boson
+    families; integers for every lattice vector in use."""
+    f0, f2 = kappa0 * GRAM_NORM[0], kappa2 * GRAM_NORM[2]
+    if f0.denominator != 1 or f2.denominator != 1:
+        raise AssertionError("contraction factor not integral")
+    return f0.numerator, f2.numerator
+
+
+def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int):
     """Expand an annihilating exponential against a monomial.
 
-    Yields (h4, factor, leftover_modes) over all contraction patterns; the
-    per-quantum factor is mode-size independent (the 1/m of the exponential
-    cancels against the commutator), leaving binomial counts.
+    Yields (h4, factor, leftover_modes) over all contraction patterns, with
+    integer factors; the per-quantum factor is mode-size independent (the
+    1/m of the exponential cancels against the commutator), leaving binomial
+    counts.
     """
     counts: Dict[int, int] = {}
     for q in modes:
@@ -215,18 +226,19 @@ def _annihilation_terms(modes: Tuple[int, ...], f0: Fraction, f2: Fraction):
         if f == 0:
             yield from rec(idx + 1, h4, factor, leftover + [q] * k)
             return
-        fpow = Fraction(1)
+        fpow = 1
         for j in range(k + 1):
             yield from rec(idx + 1, h4 + j * q, factor * comb(k, j) * fpow, leftover + [q] * (k - j))
             fpow *= f
 
-    yield from rec(0, 0, Fraction(1), [])
+    yield from rec(0, 0, 1, [])
 
 
 @functools.lru_cache(maxsize=None)
-def _creation_terms(kappa0: Fraction, kappa2: Fraction, g4: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
+def _creation_terms(kappa0: Fraction, kappa2: Fraction, g4: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
     """Expand a creating exponential: multisets of quanta of total g4 with
-    coefficient prod (kappa*4/q)^j / j! per distinct quantum size q."""
+    coefficient prod (kappa*4/q)^j / j! per distinct quantum size q, as
+    (den, ((parts, numerator), ...)) over one common denominator."""
     out = []
     for parts in _even_partitions(g4, max(g4, 2), kappa2 == 0):
         coeff = Fraction(1)
@@ -242,7 +254,8 @@ def _creation_terms(kappa0: Fraction, kappa2: Fraction, g4: int) -> Tuple[Tuple[
             idx += j
         if coeff:
             out.append((parts, coeff))
-    return tuple(out)
+    den = lcm(*(coeff.denominator for _, coeff in out))
+    return den, tuple((parts, coeff.numerator * (den // coeff.denominator)) for parts, coeff in out)
 
 
 def _merge_modes(leftover: Tuple[int, ...], created: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -263,7 +276,7 @@ class TwistedFock:
     #
     # Raw images are (base, items): one Q(i) scalar carrying all phases and
     # prefactors, and pure-rational weights per target monomial.  The split
-    # keeps the hot accumulation loops in plain Fraction arithmetic.
+    # keeps the hot accumulation loops in plain integer arithmetic.
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
         data = self.vertex[key]
@@ -272,17 +285,20 @@ class TwistedFock:
         base = data.prefactor * phase
         d4 = data.diag4_offset + data.diag4_slope * c
         want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
-        f0 = -data.kappa0 * GRAM_NORM[0]
-        f2 = -data.kappa2 * GRAM_NORM[2]
-        acc: Dict[FockMonomial, Fraction] = {}
-        for h4, afac, leftover in _annihilation_terms(modes, f0, f2):
-            g4 = want + h4
-            if g4 < 0:
-                continue
-            for created, cfac in _creation_terms(data.kappa0, data.kappa2, g4):
-                tgt = (_merge_modes(leftover, created), c2)
-                acc[tgt] = acc.get(tgt, 0) + afac * cfac
-        return base, tuple((tgt, f) for tgt, f in acc.items() if f)
+        f0, f2 = _contraction_factors(data.kappa0, data.kappa2)
+        terms = []
+        for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
+            if want + h4 >= 0:
+                terms.append((afac, leftover, _creation_terms(data.kappa0, data.kappa2, want + h4)))
+        # integer numerators over one denominator, one Fraction per target
+        den = lcm(*(created[0] for _, _, created in terms))
+        acc: Dict[FockMonomial, int] = {}
+        for afac, leftover, (cden, created) in terms:
+            w = afac * (den // cden)
+            for parts, num in created:
+                tgt = (_merge_modes(leftover, parts), c2)
+                acc[tgt] = acc.get(tgt, 0) + w * num
+        return base, tuple((tgt, Fraction(n, den)) for tgt, n in acc.items() if n)
 
     def _heis_raw(self, family: int, n4: int, mono: FockMonomial):
         """family 0 or 2 = residue class of the boson; n4 signed quarter index."""
@@ -309,7 +325,7 @@ class TwistedFock:
         if need < 0:
             return ONE, ()
         out = []
-        for h4, afac, leftover in _annihilation_terms(modes, Fraction(-1), Fraction(-1)):
+        for h4, afac, leftover in _annihilation_terms(modes, -1, -1):
             if h4 == need and afac:
                 out.append(((tuple(leftover), c), afac))
         return i_power(c), tuple(out)
@@ -363,14 +379,6 @@ class TwistedFock:
             out.append(acc)
         return out
 
-    def apply_word(self, word: Sequence[Tuple[str, int]], vec: FockVector) -> FockVector:
-        """Apply operators right-to-left, as a product acting on a vector."""
-        for kind, n4 in reversed(word):
-            vec = self.apply(kind, n4, vec)
-            if vec.is_zero():
-                break
-        return vec
-
     # -- operator metadata ---------------------------------------------------
 
     @staticmethod
@@ -386,12 +394,6 @@ class TwistedFock:
         if kind == "dT":
             return (c, l - 2 * c)
         raise ValueError(kind)
-
-    def op_dead_on_bucket(self, kind: str, n4: int, src: BucketKey) -> bool:
-        """True when the target bucket is below ground, which forces the map
-        to vanish: the annihilating exponential cannot extract more weight
-        than the source carries."""
-        return not bucket_exists(*self.target_bucket(kind, n4, src))
 
     def matrix(self, kind: str, n4: int, src: BucketKey) -> ExactMatrix:
         key = (kind, n4, src)
@@ -423,9 +425,6 @@ class TwistedFock:
             raise ValueError("flipped boson carries half-odd modes only")
         return self.apply(beta, n.q, vec)
 
-    def vertex_component(self, alpha: str, n: "QuarterInt", src: BucketKey) -> ExactMatrix:
-        return self.matrix(alpha, n.q, src)
-
     def e_alpha1_op(self, src: BucketKey) -> ExactMatrix:
         return self.matrix("e1", 0, src)
 
@@ -437,19 +436,23 @@ class TwistedFock:
 
 
 class Report:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite; a suite that checked nothing fails."""
 
     def __init__(self, name: str):
         self.name = name
-        self.passed = True
+        self.mismatched = False
         self.checked = 0
         self.failures: List[dict] = []
         self.details: Dict[str, object] = {}
 
+    @property
+    def passed(self) -> bool:
+        return self.checked > 0 and not self.mismatched
+
     def record(self, ok: bool, failure: Optional[dict] = None) -> None:
         self.checked += 1
         if not ok:
-            self.passed = False
+            self.mismatched = True
             if failure is not None and len(self.failures) < 10:
                 self.failures.append(failure)
 
@@ -765,8 +768,7 @@ def exchange_series(alpha: LatticeVector, beta: LatticeVector, order: int) -> Li
 
 def _e_plus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector) -> Dict[int, FockVector]:
     """Expansion of the annihilating exponential of a vector: {h4: image}."""
-    f0 = kappa0 * GRAM_NORM[0]
-    f2 = kappa2 * GRAM_NORM[2]
+    f0, f2 = _contraction_factors(kappa0, kappa2)
     out: Dict[int, FockVector] = {}
     for mono, coeff in vec.terms.items():
         modes, c = mono
@@ -780,7 +782,9 @@ def _e_minus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector, order: int
     out: Dict[int, FockVector] = {}
     for g4 in range(0, order + 1, 2):
         acc = FockVector()
-        for created, cfac in _creation_terms(-kappa0, -kappa2, g4):
+        den, created_terms = _creation_terms(-kappa0, -kappa2, g4)
+        for created, num in created_terms:
+            cfac = Fraction(num, den)
             for mono, coeff in vec.terms.items():
                 modes, c = mono
                 acc.add_term((_merge_modes(modes, created), c), coeff * cfac)

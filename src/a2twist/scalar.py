@@ -7,71 +7,101 @@ runs on these types; no floating point exists anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from math import gcd
+from typing import Mapping, Optional
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i), components stored as reduced Fractions."""
+    """An element (a + b*i)/d of Q(i), stored as one reduced integer triple.
 
-    __slots__ = ("re", "im")
+    Normal form: d > 0 and gcd(a, b, d) = 1, zero being (0, 0, 1), so equal
+    values have equal fields.  Every operation builds its result from ints
+    and reduces it with a single gcd; re and im are read as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # over the lcm of two reduced denominators the triple is already reduced
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // q), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.d == other.denominator and self.a == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        if not self.a and not self.b:
+            return other
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+        if other.__class__ is GaussianRational:
+            a, b, c, e = self.a, self.b, other.a, other.b
+            return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            return self.scale_frac(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def scale_frac(self, f: Fraction) -> "GaussianRational":
-        """Fast path for scaling by a plain rational."""
-        return GaussianRational(self.re * f, self.im * f)
+    def scale_frac(self, f: int | Fraction) -> "GaussianRational":
+        """Fast path for scaling by a plain rational (an int or a Fraction)."""
+        p = f.numerator
+        return _reduced(self.a * p, self.b * p, self.d * f.denominator)
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -94,19 +124,37 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return "%si" % self.im
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%si" % (self.re, sign, abs(self.im))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "%si" % im
+        sign = "+" if im > 0 else "-"
+        return "%s%s%si" % (re, sign, abs(im))
 
     def as_strings(self):
         """JSON-safe exact form, e.g. {"re": "-1/8", "im": "1/2"}."""
         return {"re": str(self.re), "im": str(self.im)}
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    out = _new(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
 
 
 def _coerce(x) -> GaussianRational:
@@ -196,17 +244,12 @@ class QuarterInt:
 #
 # Vectors are dicts {coordinate_key: GaussianRational}; any hashable,
 # sortable key works (integers, monomial tuples).  All elimination is
-# plain fraction arithmetic, so every rank decision is exact.
+# plain Q(i) arithmetic, so every rank decision is exact.
 # ---------------------------------------------------------------------------
 
 
 def _entry_size(s: GaussianRational) -> int:
-    return (
-        s.re.numerator.bit_length()
-        + s.re.denominator.bit_length()
-        + s.im.numerator.bit_length()
-        + s.im.denominator.bit_length()
-    )
+    return s.a.bit_length() + s.b.bit_length() + s.d.bit_length()
 
 
 class ExactMatrix:
@@ -248,14 +291,6 @@ class ExactMatrix:
         m = cls(n, n)
         for j in range(n):
             m[j, j] = ONE
-        return m
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Mapping[int, GaussianRational]]) -> "ExactMatrix":
-        m = cls(rows, len(columns))
-        for j, col in enumerate(columns):
-            for r, val in col.items():
-                m[r, j] = val
         return m
 
     def transpose(self) -> "ExactMatrix":

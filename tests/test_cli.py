@@ -3,6 +3,7 @@ import json
 import pytest
 
 from a2twist.cli import main
+from a2twist.fock import Report
 
 
 def run(capsys, argv):
@@ -91,3 +92,32 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--cutoff", "-3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--exactness-cutoff", "--presentation-cutoff"])
+def test_negative_sub_cutoff_exits_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suites", "exactness,presentation", "--cutoff", "10", flag, "-5", "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_suite_without_checks_fails():
+    rep = Report("empty")
+    assert not rep.passed
+    assert rep.as_dict() == {"name": "empty", "pass": False, "checked": 0}
+    rep.record(True)
+    assert rep.passed and rep.as_dict()["pass"] is True
+    rep.record(False, {"case": 1})
+    assert not rep.passed and rep.as_dict()["first_failures"] == [{"case": 1}]
+
+
+def test_zero_sub_cutoffs_still_check(capsys):
+    code, out = run(
+        capsys,
+        ["verify", "--suites", "exactness,presentation", "--cutoff", "4",
+         "--exactness-cutoff", "0", "--presentation-cutoff", "0", "--format", "json"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert all(s["pass"] and s["checked"] > 0 for s in doc["suites"])

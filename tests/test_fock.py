@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -16,8 +19,9 @@ from a2twist.fock import (
     self_bracket_coeff,
     sigma_factor,
 )
-from a2twist.lattice import ALPHA1, THETA
-from a2twist.scalar import GaussianRational, ONE, QuarterInt
+from a2twist.groups import HAT_LNU, section
+from a2twist.lattice import ALPHA1, THETA, gram
+from a2twist.scalar import GaussianRational, ONE, QuarterInt, i_power
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +240,68 @@ def test_lowering_kills_raising_image_on_subspace(fock):
             assert fock.apply("dT", 0, fock.apply("e1", 0, v)).is_zero()
     outside = FockVector.unit(((2,), 0))
     assert not fock.apply("dT", 0, fock.apply("e1", 0, outside)).is_zero()
+
+
+# --- operator images against a direct Fraction sum ----------------------------
+
+
+def even_multisets(total, top=None):
+    """Multisets of even positive parts summing to total, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    top = total if top is None else top
+    for p in range(min(top, total) // 2 * 2, 0, -2):
+        for rest in even_multisets(total - p, p):
+            yield (p,) + rest
+
+
+def contractions(modes, f):
+    """(h4, factor, leftover) per choice of how many quanta of each size the
+    annihilating exponential removes; f maps a mode class to its factor."""
+    counts = sorted(Counter(modes).items(), reverse=True)
+    for js in product(*(range(k + 1) for _, k in counts)):
+        factor, h4, leftover = Fraction(1), 0, []
+        for (q, k), j in zip(counts, js):
+            factor *= comb(k, j) * Fraction(f[q % 4]) ** j
+            h4 += j * q
+            leftover += [q] * (k - j)
+        if factor:
+            yield h4, factor, leftover
+
+
+def direct_image(fock, kind, n4, mono):
+    """(base, {target: weight}) summed term by term in Fractions."""
+    modes, c = mono
+    acc = {}
+    if kind == "dT":
+        if c < 0:
+            return ONE, acc
+        for h4, factor, leftover in contractions(modes, {0: -1, 2: -1}):
+            if h4 == 2 * c:
+                acc[(tuple(leftover), c)] = factor
+        return i_power(c), acc
+    data = fock.vertex[kind]
+    phase, c2 = fock.coset.act_on_charge(section(data.vec, HAT_LNU), c)
+    kappa = {0: data.kappa0, 2: data.kappa2}
+    want = -n4 - 2 * gram(data.vec, data.vec) - data.diag4_offset - data.diag4_slope * c
+    for h4, afac, leftover in contractions(modes, {0: -2 * data.kappa0, 2: -6 * data.kappa2}):
+        for parts in even_multisets(want + h4) if want + h4 >= 0 else ():
+            cfac = Fraction(1)
+            for q, j in Counter(parts).items():
+                cfac *= (4 * kappa[q % 4] / q) ** j / factorial(j)
+            if cfac:
+                tgt = (tuple(sorted(leftover + list(parts), reverse=True)), c2)
+                acc[tgt] = acc.get(tgt, 0) + afac * cfac
+    return data.prefactor * phase, {t: w for t, w in acc.items() if w}
+
+
+def test_integer_images_match_direct_fraction_sum(fock):
+    for bucket in ((0, 0), (0, 8), (1, 9), (-1, 11), (2, 12), (1, 13)):
+        for mono in enumerate_bucket(*bucket):
+            for kind, n4 in [("dT", 0)] + [(k, n) for k in ("a1", "a2", "a12") for n in range(-11, 10)]:
+                base, items = fock._image_raw(kind, n4, mono)
+                want_base, want = direct_image(fock, kind, n4, mono)
+                assert base == want_base
+                assert len(items) == len(want)
+                assert dict(items) == want, (kind, n4, mono)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -118,3 +119,164 @@ def test_echelon_basis_incremental():
     assert not basis.insert({0: GaussianRational(2), 1: GaussianRational(5)})
     assert basis.contains({0: I, 1: I})
     assert not basis.contains({2: ONE})
+
+
+# --- the integer-triple representation against a Fraction-pair reference ---
+
+
+class RefQi:
+    """Reference Q(i) element as a pair of Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return RefQi(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return RefQi(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return RefQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return RefQi(self.re / n, -self.im / n)
+
+    def __pow__(self, k):
+        out, base = RefQi(1), (self if k >= 0 else self.inverse())
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def repr(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return "%si" % self.im
+        return "%s%s%si" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
+
+
+def rand_pair(rng):
+    span = rng.choice((3, 40, 10 ** 12))
+
+    def frac():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 4, 6, 8, 9, 12, 2 ** 40)))
+
+    return frac(), frac()
+
+
+def assert_matches(x, ref):
+    assert isinstance(x, GaussianRational)
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert x.d > 0
+    assert math.gcd(x.a, x.b, x.d) == 1
+    if x.is_zero():
+        assert (x.a, x.b, x.d) == (0, 0, 1)
+    assert repr(x) == ref.repr()
+    assert x.as_strings() == {"re": str(ref.re), "im": str(ref.im)}
+
+
+def test_triple_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        (p, q), (r, s) = rand_pair(rng), rand_pair(rng)
+        x, y = GaussianRational(p, q), GaussianRational(r, s)
+        rx, ry = RefQi(p, q), RefQi(r, s)
+        assert_matches(x, rx)
+        assert_matches(x + y, rx + ry)
+        assert_matches(x - y, rx - ry)
+        assert_matches(x * y, rx * ry)
+        assert_matches(-x, RefQi(-p, -q))
+        assert_matches(x.conjugate(), RefQi(p, -q))
+        assert_matches(x.scale_frac(r), rx * RefQi(r))
+        assert_matches(x.scale_frac(3), rx * RefQi(3))
+        if not y.is_zero():
+            assert_matches(y.inverse(), ry.inverse())
+            assert_matches(x / y, rx * ry.inverse())
+            assert_matches(y ** -3, ry ** -3)
+        assert_matches(x ** 3, rx ** 3)
+        assert_matches(x ** 0, RefQi(1))
+
+
+def test_mixed_int_and_fraction_operands():
+    rng = random.Random(5)
+    for _ in range(200):
+        p, q = rand_pair(rng)
+        x, rx = GaussianRational(p, q), RefQi(p, q)
+        k, f = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for other in (k, f):
+            ro = RefQi(other)
+            assert_matches(x + other, rx + ro)
+            assert_matches(other + x, rx + ro)
+            assert_matches(x - other, rx - ro)
+            assert_matches(other - x, ro - rx)
+            assert_matches(x * other, rx * ro)
+            assert_matches(other * x, rx * ro)
+            if other:
+                assert_matches(x / other, rx * ro.inverse())
+            if not x.is_zero():
+                assert_matches(other / x, ro * rx.inverse())
+    assert GaussianRational(3) == 3 and 3 == GaussianRational(3)
+    assert GaussianRational(Fraction(3, 2)) == Fraction(3, 2)
+    assert Fraction(3, 2) == GaussianRational(Fraction(6, 4))
+    assert GaussianRational(Fraction(3, 4)) != Fraction(3, 2)
+    assert GaussianRational(3) != Fraction(3, 2)
+    assert GaussianRational(3, 1) != 3
+    assert GaussianRational(Fraction(1, 2)) != 1
+    assert GaussianRational(1) != "1"
+    with pytest.raises(TypeError):
+        GaussianRational(1) + "1"
+
+
+def test_one_value_built_several_ways():
+    rng = random.Random(11)
+    for _ in range(100):
+        p, q = rand_pair(rng)
+        r, s = rand_pair(rng)
+        x, y = GaussianRational(p, q), GaussianRational(r, s)
+        ways = [
+            GaussianRational(x.re, x.im),
+            GaussianRational(Fraction(2 * x.a, 2 * x.d), Fraction(x.b, x.d)),
+            x + y - y,
+            (x - y) + y,
+            x * ONE,
+            ONE * x,
+            -(-x),
+            x.conjugate().conjugate(),
+            x.scale_frac(Fraction(7, 3)).scale_frac(Fraction(3, 7)),
+        ]
+        if not y.is_zero():
+            ways += [(x * y) / y, (x / y) * y]
+        if not x.is_zero():
+            ways.append(x.inverse().inverse())
+        for w in ways:
+            assert (w.a, w.b, w.d) == (x.a, x.b, x.d)
+            assert w == x and hash(w) == hash(x)
+        assert len(set(ways + [x])) == 1
+
+
+def test_repr_and_strings():
+    assert repr(GaussianRational(0)) == "0"
+    assert repr(GaussianRational(Fraction(-3, 6))) == "-1/2"
+    assert repr(GaussianRational(0, 1)) == "1i"
+    assert repr(GaussianRational(0, Fraction(-1, 4))) == "-1/4i"
+    assert repr(GaussianRational(Fraction(1, 4), Fraction(-1, 4))) == "1/4-1/4i"
+    assert repr(GaussianRational(2, Fraction(3, 5))) == "2+3/5i"
+    assert GaussianRational(Fraction(-1, 8), Fraction(1, 2)).as_strings() == {"re": "-1/8", "im": "1/2"}
+    assert ZERO.as_strings() == {"re": "0", "im": "0"}
+
+
+def test_inverse_of_zero_all_routes():
+    for zero in (ZERO, GaussianRational(0, 0), GaussianRational(Fraction(0, 5)), I - I):
+        assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            ONE / zero
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
