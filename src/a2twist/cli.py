@@ -2,7 +2,8 @@
 partition oracle, with machine-readable output.
 
 Exit codes: 0 on success, 1 on a verification mismatch or a suite that
-checked nothing, 2 on usage errors.
+checked nothing, 2 on usage errors, 3 on an internal error (one line on
+stderr).
 All numeric output is integral or an exact rational string; no floats.
 """
 
@@ -209,11 +210,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("cutoff must be nonnegative and parallelism positive")
     if args.command == "verify" and min(args.exactness_cutoff, args.presentation_cutoff) < 0:
         parser.error("sub-cutoffs must be nonnegative")
+    # usage errors are rejected before any work, so whatever is raised here is internal
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print("a2twist: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

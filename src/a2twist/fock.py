@@ -29,7 +29,7 @@ from .lattice import (
     nu,
     project_lattice,
 )
-from .scalar import ExactMatrix, GaussianRational, ONE, QuarterInt, ZERO, i_power
+from .scalar import ExactMatrix, GaussianRational, ONE, QuarterInt, ZERO, _reduced, i_power
 
 FockMonomial = Tuple[Tuple[int, ...], int]  # (quanta sorted descending, coset charge)
 BucketKey = Tuple[int, int]  # (charge, quarter-weight)
@@ -174,6 +174,8 @@ class VertexData(NamedTuple):
     charge: int
     kappa0: Fraction  # coefficient of the fixed boson in the 0-projection
     kappa2: Fraction  # coefficient of the flipped boson in the 2-projection
+    f0: int  # contraction factor kappa0 * <beta, beta> of the fixed boson
+    f2: int  # contraction factor kappa2 * <beta, beta> of the flipped boson
     prefactor: GaussianRational
     diag4_offset: int  # quarter-degree of the diagonal part at charge 0
     diag4_slope: int  # quarter-degree gained per unit of source charge
@@ -189,13 +191,13 @@ def _vertex_data(vec: LatticeVector) -> VertexData:
     slope4 = 4 * gram_q(p0, RationalHVector.of(ALPHA1))
     if const4.denominator != 1 or slope4.denominator != 1:
         raise AssertionError("diagonal degree not a quarter integer")
-    return VertexData(vec, gram(THETA, vec), p0.m, p2.m, pref, int(const4), int(slope4))
+    f0, f2 = _contraction_factors(p0.m, p2.m)
+    return VertexData(vec, gram(THETA, vec), p0.m, p2.m, f0, f2, pref, int(const4), int(slope4))
 
 
 VERTEX_VECS = {"a1": ALPHA1, "a2": ALPHA2, "a12": THETA}
 
 
-@functools.lru_cache(maxsize=None)
 def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
     """Per-quantum contraction factors kappa * <beta, beta> of the two boson
     families; integers for every lattice vector in use."""
@@ -235,12 +237,13 @@ def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _creation_terms(kappa0: Fraction, kappa2: Fraction, g4: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
-    """Expand a creating exponential: multisets of quanta of total g4 with
-    coefficient prod (kappa*4/q)^j / j! per distinct quantum size q, as
+def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
+    """Expand a creating exponential, given by its contraction factors: multisets
+    of quanta of total g4 with coefficient prod (kappa*4/q)^j / j! per distinct
+    quantum size q, where kappa = f / <beta, beta> of the quantum's family, as
     (den, ((parts, numerator), ...)) over one common denominator."""
     out = []
-    for parts in _even_partitions(g4, max(g4, 2), kappa2 == 0):
+    for parts in _even_partitions(g4, max(g4, 2), f2 == 0):
         coeff = Fraction(1)
         idx = 0
         while idx < len(parts):
@@ -248,8 +251,8 @@ def _creation_terms(kappa0: Fraction, kappa2: Fraction, g4: int) -> Tuple[int, T
             j = 1
             while idx + j < len(parts) and parts[idx + j] == q:
                 j += 1
-            kappa = kappa0 if q % 4 == 0 else kappa2
-            coeff *= Fraction(4 * kappa.numerator, q * kappa.denominator) ** j
+            family = q % 4
+            coeff *= Fraction(4 * (f0 if family == 0 else f2), q * GRAM_NORM[family]) ** j
             coeff /= factorial(j)
             idx += j
         if coeff:
@@ -269,14 +272,14 @@ class TwistedFock:
         self.tau = TauTable()
         self.coset = CosetModel(self.tau)
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
-        self._mono_cache: Dict[tuple, Tuple[Tuple[FockMonomial, GaussianRational], ...]] = {}
+        self._mono_cache: Dict[tuple, tuple] = {}  # raw images by (kind, n4, mono)
         self._matrix_cache: Dict[tuple, ExactMatrix] = {}
 
     # -- single-operator applications --------------------------------------
     #
-    # Raw images are (base, items): one Q(i) scalar carrying all phases and
-    # prefactors, and pure-rational weights per target monomial.  The split
-    # keeps the hot accumulation loops in plain integer arithmetic.
+    # Raw images are (base, items): one Q(i) scalar carrying all phases,
+    # prefactors and the image's denominator, and integer weights per target
+    # monomial.  The split keeps the hot accumulation loops in plain ints.
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
         data = self.vertex[key]
@@ -285,12 +288,12 @@ class TwistedFock:
         base = data.prefactor * phase
         d4 = data.diag4_offset + data.diag4_slope * c
         want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
-        f0, f2 = _contraction_factors(data.kappa0, data.kappa2)
+        f0, f2 = data.f0, data.f2
         terms = []
         for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
             if want + h4 >= 0:
-                terms.append((afac, leftover, _creation_terms(data.kappa0, data.kappa2, want + h4)))
-        # integer numerators over one denominator, one Fraction per target
+                terms.append((afac, leftover, _creation_terms(f0, f2, want + h4)))
+        # integer numerators over one denominator, folded into the base
         den = lcm(*(created[0] for _, _, created in terms))
         acc: Dict[FockMonomial, int] = {}
         for afac, leftover, (cden, created) in terms:
@@ -298,7 +301,7 @@ class TwistedFock:
             for parts, num in created:
                 tgt = (_merge_modes(leftover, parts), c2)
                 acc[tgt] = acc.get(tgt, 0) + w * num
-        return base, tuple((tgt, Fraction(n, den)) for tgt, n in acc.items() if n)
+        return base.scale_frac(Fraction(1, den)), tuple((tgt, n) for tgt, n in acc.items() if n)
 
     def _heis_raw(self, family: int, n4: int, mono: FockMonomial):
         """family 0 or 2 = residue class of the boson; n4 signed quarter index."""
@@ -306,18 +309,18 @@ class TwistedFock:
         if n4 == 0 or (n4 - family) % 4:
             raise ValueError("mode does not match the boson family")
         if n4 < 0:
-            return ONE, (((_merge_modes(modes, (-n4,)), c), Fraction(1)),)
+            return ONE, (((_merge_modes(modes, (-n4,)), c), 1),)
         k = modes.count(n4)
         if not k:
             return ONE, ()
         rest = list(modes)
         rest.remove(n4)
-        return ONE, (((tuple(rest), c), Fraction(GRAM_NORM[family] * n4 * k, 4)),)
+        return GaussianRational(Fraction(1, 4)), (((tuple(rest), c), GRAM_NORM[family] * n4 * k),)
 
     def _e1_raw(self, mono: FockMonomial):
         modes, c = mono
         phase, c2 = self.coset.act_on_charge(section(ALPHA1, HAT_LNU), c)
-        return phase, (((modes, c2), Fraction(1)),)
+        return phase, (((modes, c2), 1),)
 
     def _delta_raw(self, mono: FockMonomial):
         modes, c = mono
@@ -343,41 +346,46 @@ class TwistedFock:
             return self._delta_raw(mono)
         raise ValueError("unknown operator kind %r" % kind)
 
-    def mono_image(self, kind: str, n4: int, mono: FockMonomial):
-        """Cached image of a basis monomial as (target, coefficient) pairs."""
-        key = (kind, n4, mono)
-        hit = self._mono_cache.get(key)
-        if hit is None:
-            base, items = self._image_raw(kind, n4, mono)
-            hit = tuple((tgt, base.scale_frac(f)) for tgt, f in items)
-            self._mono_cache[key] = hit
-        return hit
+    def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
+        """Image of vec, raw images looked up in (or added to) images under
+        (kind, n4, mono).  Each source term is scaled once; the scaled terms
+        are summed as Gaussian-integer numerators over their common
+        denominator, and each surviving target is reduced once."""
+        scaled = []
+        den = 1
+        for mono, coeff in vec.terms.items():
+            key = (kind, n4, mono)
+            img = images.get(key)
+            if img is None:
+                img = images[key] = self._image_raw(kind, n4, mono)
+            base, items = img
+            if items:
+                s = coeff * base
+                scaled.append((s, items))
+                den = lcm(den, s.d)
+        acc: Dict[FockMonomial, List[int]] = {}
+        for s, items in scaled:
+            w = den // s.d
+            a, b = s.a * w, s.b * w
+            for tgt, n in items:
+                cur = acc.get(tgt)
+                if cur is None:
+                    acc[tgt] = [a * n, b * n]
+                else:
+                    cur[0] += a * n
+                    cur[1] += b * n
+        out = FockVector()
+        out.terms = {tgt: _reduced(x, y, den) for tgt, (x, y) in acc.items() if x or y}
+        return out
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
-        out = FockVector()
-        for mono, coeff in vec.terms.items():
-            for tgt, val in self.mono_image(kind, n4, mono):
-                out.add_term(tgt, coeff * val)
-        return out
+        return self._apply(kind, n4, vec, self._mono_cache)
 
     def apply_batch(self, kind: str, n4: int, vectors: Sequence[FockVector]) -> List[FockVector]:
         """Apply one operator to many vectors sharing a bucket, with a local
         image table (nothing retained afterwards)."""
-        local: Dict[FockMonomial, tuple] = {}
-        out = []
-        for vec in vectors:
-            acc = FockVector()
-            for mono, coeff in vec.terms.items():
-                img = local.get(mono)
-                if img is None:
-                    img = self._image_raw(kind, n4, mono)
-                    local[mono] = img
-                base, items = img
-                s = coeff * base
-                for tgt, f in items:
-                    acc.add_term(tgt, s.scale_frac(f))
-            out.append(acc)
-        return out
+        local: Dict[tuple, tuple] = {}
+        return [self._apply(kind, n4, vec, local) for vec in vectors]
 
     # -- operator metadata ---------------------------------------------------
 
@@ -406,8 +414,8 @@ class TwistedFock:
         mat = ExactMatrix(len(tgt_monos), len(src_monos))
         for j, mono in enumerate(src_monos):
             base, items = self._image_raw(kind, n4, mono)
-            for image, f in items:
-                mat[index[image], j] = base.scale_frac(f)
+            for image, n in items:
+                mat[index[image], j] = base.scale_frac(n)
         self._matrix_cache[key] = mat
         return mat
 
@@ -527,18 +535,7 @@ class _LocalApplier:
         self.images: Dict[tuple, tuple] = {}
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
-        out = FockVector()
-        for mono, coeff in vec.terms.items():
-            key = (kind, n4, mono)
-            img = self.images.get(key)
-            if img is None:
-                img = self.fock._image_raw(kind, n4, mono)
-                self.images[key] = img
-            base, items = img
-            s = coeff * base
-            for tgt, f in items:
-                out.add_term(tgt, s.scale_frac(f))
-        return out
+        return self.fock._apply(kind, n4, vec, self.images)
 
 
 def component_sign(n4: int) -> int:
@@ -779,10 +776,11 @@ def _e_plus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector) -> Dict[int
 
 def _e_minus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector, order: int) -> Dict[int, FockVector]:
     """Truncated expansion of the creating exponential: {g4: image}."""
+    f0, f2 = _contraction_factors(kappa0, kappa2)
     out: Dict[int, FockVector] = {}
     for g4 in range(0, order + 1, 2):
         acc = FockVector()
-        den, created_terms = _creation_terms(-kappa0, -kappa2, g4)
+        den, created_terms = _creation_terms(-f0, -f2, g4)
         for created, num in created_terms:
             cfac = Fraction(num, den)
             for mono, coeff in vec.terms.items():

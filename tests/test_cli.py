@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from a2twist import cli
 from a2twist.cli import main
 from a2twist.fock import Report
 
@@ -121,3 +122,29 @@ def test_zero_sub_cutoffs_still_check(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(s["pass"] and s["checked"] > 0 for s in doc["suites"])
+
+
+@pytest.mark.parametrize("exc", [AssertionError("echelon invariant broken"), ValueError("bad mode")])
+def test_internal_error_exits_3(capsys, monkeypatch, exc):
+    def broken(fock, cutoff):
+        raise exc
+
+    monkeypatch.setattr(cli, "check_linear_relations", broken)
+    code = main(["verify", "--suites", "relations", "--cutoff", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and type(exc).__name__ in err[0] and str(exc) in err[0]
+
+
+def test_mismatch_exits_1(capsys, monkeypatch):
+    def mismatched(fock, cutoff):
+        rep = Report("linear-relations")
+        rep.record(False, {"case": 0})
+        return rep
+
+    monkeypatch.setattr(cli, "check_linear_relations", mismatched)
+    code, out = run(capsys, ["verify", "--suites", "relations", "--cutoff", "4", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["suites"][0]["pass"] is False

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from a2twist.fock import (
     FockVector,
     TwistedFock,
+    _LocalApplier,
     all_buckets,
     bucket_exists,
     check_brackets,
@@ -302,6 +304,92 @@ def test_integer_images_match_direct_fraction_sum(fock):
             for kind, n4 in [("dT", 0)] + [(k, n) for k in ("a1", "a2", "a12") for n in range(-11, 10)]:
                 base, items = fock._image_raw(kind, n4, mono)
                 want_base, want = direct_image(fock, kind, n4, mono)
-                assert base == want_base
+                # the base is the direct one over a positive integer denominator
+                ratio = base * want_base.inverse()
+                assert ratio.a == 1 and ratio.b == 0, (kind, n4, mono)
+                assert all(type(n) is int for _, n in items)
                 assert len(items) == len(want)
-                assert dict(items) == want, (kind, n4, mono)
+                got = {tgt: base.scale_frac(n) for tgt, n in items}
+                assert got == {tgt: want_base.scale_frac(w) for tgt, w in want.items()}, (kind, n4, mono)
+
+
+# --- the shared-denominator application kernel --------------------------------
+
+KERNEL_OPS = (
+    [("a1", n) for n in range(-7, 8, 2)]
+    + [("a2", n) for n in range(-7, 8, 2)]
+    + [("a12", n) for n in range(-8, 9, 4)]
+    + [("b0", n) for n in (-8, -4, 4, 8)]
+    + [("b2", n) for n in (-6, -2, 2, 6)]
+    + [("e1", 0), ("dT", 0)]
+)
+
+
+def reference_apply(fock, kind, n4, vec):
+    """Image terms summed one Q(i) product at a time, zero sums left out."""
+    acc = {}
+    for mono, coeff in vec.terms.items():
+        base, items = fock._image_raw(kind, n4, mono)
+        for tgt, n in items:
+            acc[tgt] = acc.get(tgt, GaussianRational()) + coeff * base * n
+    return {tgt: c for tgt, c in acc.items() if not c.is_zero()}
+
+
+def all_paths(fock, kind, n4, vectors):
+    """The image of each vector through apply (cold and cached), apply_batch
+    and _LocalApplier.apply."""
+    local = _LocalApplier(fock)
+    cold = [fock.apply(kind, n4, v) for v in vectors]
+    return {
+        "apply": cold,
+        "apply-cached": [fock.apply(kind, n4, v) for v in vectors],
+        "apply_batch": fock.apply_batch(kind, n4, vectors),
+        "local": [local.apply(kind, n4, v) for v in vectors],
+    }
+
+
+def test_shared_denominator_kernel_matches_term_sum():
+    fock = TwistedFock()
+    rng = random.Random(5)
+    dens = (1, 2, 3, 4, 5, 7, 12)
+    for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
+        monos = enumerate_bucket(*bucket)
+        vectors = []
+        for _ in range(3):
+            terms = {}
+            for mono in rng.sample(monos, min(len(monos), 4)):
+                re = Fraction(rng.randint(-9, 9), rng.choice(dens))
+                terms[mono] = gr(re, Fraction(rng.randint(1, 9), rng.choice(dens)))
+            vectors.append(FockVector(terms))
+        assert len({c.d for v in vectors for c in v.terms.values()}) > 1  # mixed denominators
+        for kind, n4 in KERNEL_OPS:
+            want = [reference_apply(fock, kind, n4, v) for v in vectors]
+            for path, got in all_paths(fock, kind, n4, vectors).items():
+                assert [g.terms for g in got] == want, (path, bucket, kind, n4)
+
+
+def test_shared_denominator_kernel_drops_cancelled_targets():
+    fock = TwistedFock()
+    kind, n4 = "a1", -3
+    monos = enumerate_bucket(0, 8)
+    images = {m: fock._image_raw(kind, n4, m) for m in monos}
+    # two sources sharing a target, weighted so that target cancels exactly
+    m1, m2, tgt = next(
+        (m1, m2, t)
+        for m1 in monos
+        for m2 in monos
+        if m1 < m2
+        for t in set(dict(images[m1][1])) & set(dict(images[m2][1]))
+        if len(set(dict(images[m1][1])) | set(dict(images[m2][1]))) > 1
+    )
+
+    def at(m):
+        base, items = images[m]
+        return base.scale_frac(Fraction(dict(items)[tgt], 3))
+
+    vec = FockVector({m1: at(m2), m2: -at(m1)})
+    want = reference_apply(fock, kind, n4, vec)
+    assert tgt not in want and want
+    for path, (got,) in all_paths(fock, kind, n4, [vec]).items():
+        assert tgt not in got.terms, path
+        assert got.terms == want, path
