@@ -207,41 +207,114 @@ def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
     return f0.numerator, f2.numerator
 
 
-def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int):
+# --- packed mode multisets ----------------------------------------------------
+#
+# Inside the image kernels a multiset of quanta is one int: the multiplicity
+# of quarter mode q (even, positive) is the 8-bit digit at bit offset
+# 8 * (q/2 - 1), so merging two multisets is one integer addition.  A digit
+# reaches 256 only if the merged quanta weigh at least 256 * 2, so every
+# merge is preceded by _check_room on the merged mode sum, which raises
+# rather than let a multiplicity carry into the next digit.  Targets are
+# decoded through an intern table holding one entry per distinct multiset
+# met, so the cutoff bounds it (at most 915 multisets at qweight 32).
+
+_DIGIT_BITS = 8
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+_MODE_SUM_LIMIT = 2 << _DIGIT_BITS  # least mode sum at which a multiplicity can reach 256
+_MODES: Dict[int, Tuple[int, ...]] = {}  # packed multiset -> quanta sorted descending
+
+
+def _check_room(mode_sum: int) -> None:
+    if mode_sum >= _MODE_SUM_LIMIT:
+        raise OverflowError(
+            "quanta of total quarter-weight %d may repeat 256 times, beyond the %d-bit multiplicity digit"
+            % (mode_sum, _DIGIT_BITS)
+        )
+
+
+def _mode_unit(q: int) -> int:
+    """The packed multiset holding one quantum of quarter mode q."""
+    return 1 << (_DIGIT_BITS * (q // 2 - 1))
+
+
+def _pack(modes: Tuple[int, ...]) -> int:
+    """The packed multiset of a tuple of quanta."""
+    _check_room(sum(modes))
+    packed = 0
+    for q in modes:
+        packed += _mode_unit(q)
+    return packed
+
+
+def _unpack(packed: int) -> Tuple[int, ...]:
+    """Quanta of a packed multiset, sorted descending; one shared tuple per
+    multiset."""
+    modes = _MODES.get(packed)
+    if modes is None:
+        out: List[int] = []
+        rest, q = packed, 2
+        while rest:
+            out += [q] * (rest & _DIGIT_MASK)
+            rest >>= _DIGIT_BITS
+            q += 2
+        modes = _MODES[packed] = tuple(reversed(out))
+    return modes
+
+
+class _MonomialTable(dict):
+    """Packed multiset -> monomial at one charge, decoded on first lookup, so
+    each monomial is one shared object."""
+
+    def __init__(self, charge: int):
+        super().__init__()
+        self.charge = charge
+
+    def __missing__(self, packed: int) -> FockMonomial:
+        mono = self[packed] = (_unpack(packed), self.charge)
+        return mono
+
+
+_MONOS: Dict[int, _MonomialTable] = {}  # charge -> its table
+
+
+def _monomials(charge: int) -> _MonomialTable:
+    table = _MONOS.get(charge)
+    if table is None:
+        table = _MONOS[charge] = _MonomialTable(charge)
+    return table
+
+
+def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int) -> List[Tuple[int, int, int]]:
     """Expand an annihilating exponential against a monomial.
 
-    Yields (h4, factor, leftover_modes) over all contraction patterns, with
-    integer factors; the per-quantum factor is mode-size independent (the
-    1/m of the exponential cancels against the commutator), leaving binomial
-    counts.
+    Returns (h4, factor, packed leftover) over all contraction patterns,
+    with integer factors, the quantum sizes taken in descending order; the
+    per-quantum factor is mode-size independent (the 1/m of the exponential
+    cancels against the commutator), leaving binomial counts.
     """
-    counts: Dict[int, int] = {}
-    for q in modes:
-        counts[q] = counts.get(q, 0) + 1
-    groups = [(q, counts[q], f0 if q % 4 == 0 else f2) for q in sorted(counts, reverse=True)]
-
-    def rec(idx, h4, factor, leftover):
-        if idx == len(groups):
-            yield h4, factor, tuple(leftover)
-            return
-        q, k, f = groups[idx]
+    terms = [(0, 1, _pack(modes))]
+    idx = 0
+    while idx < len(modes):
+        q = modes[idx]
+        k = 1
+        while idx + k < len(modes) and modes[idx + k] == q:
+            k += 1
+        idx += k
+        f = f0 if q % 4 == 0 else f2
         if f == 0:
-            yield from rec(idx + 1, h4, factor, leftover + [q] * k)
-            return
-        fpow = 1
-        for j in range(k + 1):
-            yield from rec(idx + 1, h4 + j * q, factor * comb(k, j) * fpow, leftover + [q] * (k - j))
-            fpow *= f
-
-    yield from rec(0, 0, 1, [])
+            continue
+        unit = _mode_unit(q)
+        steps = [(j * q, comb(k, j) * f**j, j * unit) for j in range(k + 1)]
+        terms = [(h4 + dh, fac * df, left - dl) for h4, fac, left in terms for dh, df, dl in steps]
+    return terms
 
 
 @functools.lru_cache(maxsize=None)
-def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], int], ...]]:
+def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
     """Expand a creating exponential, given by its contraction factors: multisets
     of quanta of total g4 with coefficient prod (kappa*4/q)^j / j! per distinct
     quantum size q, where kappa = f / <beta, beta> of the quantum's family, as
-    (den, ((parts, numerator), ...)) over one common denominator."""
+    (den, ((packed parts, numerator), ...)) over one common denominator."""
     out = []
     for parts in _even_partitions(g4, max(g4, 2), f2 == 0):
         coeff = Fraction(1)
@@ -256,13 +329,9 @@ def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[Tuple[i
             coeff /= factorial(j)
             idx += j
         if coeff:
-            out.append((parts, coeff))
+            out.append((_pack(parts), coeff))
     den = lcm(*(coeff.denominator for _, coeff in out))
     return den, tuple((parts, coeff.numerator * (den // coeff.denominator)) for parts, coeff in out)
-
-
-def _merge_modes(leftover: Tuple[int, ...], created: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sorted(leftover + created, reverse=True))
 
 
 class TwistedFock:
@@ -289,19 +358,23 @@ class TwistedFock:
         d4 = data.diag4_offset + data.diag4_slope * c
         want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
         f0, f2 = data.f0, data.f2
+        _check_room(sum(modes) + want)  # the mode sum of every target
         terms = []
         for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
             if want + h4 >= 0:
                 terms.append((afac, leftover, _creation_terms(f0, f2, want + h4)))
-        # integer numerators over one denominator, folded into the base
+        # integer numerators per packed target over one denominator, folded into the base
         den = lcm(*(created[0] for _, _, created in terms))
-        acc: Dict[FockMonomial, int] = {}
+        acc: Dict[int, int] = {}
+        get = acc.get
         for afac, leftover, (cden, created) in terms:
             w = afac * (den // cden)
             for parts, num in created:
-                tgt = (_merge_modes(leftover, parts), c2)
-                acc[tgt] = acc.get(tgt, 0) + w * num
-        return base.scale_frac(Fraction(1, den)), tuple((tgt, n) for tgt, n in acc.items() if n)
+                tgt = leftover + parts
+                acc[tgt] = get(tgt, 0) + w * num
+        monos = _monomials(c2)
+        items = tuple((monos[tgt], n) for tgt, n in acc.items() if n)
+        return base.scale_frac(Fraction(1, den)), items
 
     def _heis_raw(self, family: int, n4: int, mono: FockMonomial):
         """family 0 or 2 = residue class of the boson; n4 signed quarter index."""
@@ -309,7 +382,8 @@ class TwistedFock:
         if n4 == 0 or (n4 - family) % 4:
             raise ValueError("mode does not match the boson family")
         if n4 < 0:
-            return ONE, (((_merge_modes(modes, (-n4,)), c), 1),)
+            _check_room(sum(modes) - n4)
+            return ONE, ((_monomials(c)[_pack(modes) + _mode_unit(-n4)], 1),)
         k = modes.count(n4)
         if not k:
             return ONE, ()
@@ -329,8 +403,8 @@ class TwistedFock:
             return ONE, ()
         out = []
         for h4, afac, leftover in _annihilation_terms(modes, -1, -1):
-            if h4 == need and afac:
-                out.append(((tuple(leftover), c), afac))
+            if h4 == need:
+                out.append((_monomials(c)[leftover], afac))
         return i_power(c), tuple(out)
 
     def _image_raw(self, kind: str, n4: int, mono: FockMonomial):
@@ -770,7 +844,7 @@ def _e_plus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector) -> Dict[int
     for mono, coeff in vec.terms.items():
         modes, c = mono
         for h4, afac, leftover in _annihilation_terms(modes, f0, f2):
-            out.setdefault(h4, FockVector()).add_term((leftover, c), coeff * afac)
+            out.setdefault(h4, FockVector()).add_term(_monomials(c)[leftover], coeff * afac)
     return {h: v for h, v in out.items() if not v.is_zero()}
 
 
@@ -785,7 +859,8 @@ def _e_minus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector, order: int
             cfac = Fraction(num, den)
             for mono, coeff in vec.terms.items():
                 modes, c = mono
-                acc.add_term((_merge_modes(modes, created), c), coeff * cfac)
+                _check_room(sum(modes) + g4)
+                acc.add_term(_monomials(c)[_pack(modes) + created], coeff * cfac)
         if not acc.is_zero():
             out[g4] = acc
     return out

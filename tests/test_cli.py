@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from a2twist import cli
+from a2twist import cli, fock
 from a2twist.cli import main
 from a2twist.fock import Report
 
@@ -136,6 +136,17 @@ def test_internal_error_exits_3(capsys, monkeypatch, exc):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and type(exc).__name__ in err[0] and str(exc) in err[0]
+
+
+def test_multiplicity_guard_exits_3(capsys, monkeypatch):
+    # a narrower room for multiplicities makes the image kernels' guard trip
+    monkeypatch.setattr(fock, "_MODE_SUM_LIMIT", 8)
+    code = main(["dims", "--cutoff", "12", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "OverflowError" in err[0]
 
 
 def test_mismatch_exits_1(capsys, monkeypatch):

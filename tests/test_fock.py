@@ -2,14 +2,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, isqrt, lcm
 
 import pytest
 
 from a2twist.fock import (
+    GRAM_NORM,
     FockVector,
     TwistedFock,
     _LocalApplier,
+    _pack,
+    _unpack,
     all_buckets,
     bucket_exists,
     check_brackets,
@@ -393,3 +396,118 @@ def test_shared_denominator_kernel_drops_cancelled_targets():
     for path, (got,) in all_paths(fock, kind, n4, [vec]).items():
         assert tgt not in got.terms, path
         assert got.terms == want, path
+
+
+# --- packed mode multisets ----------------------------------------------------
+
+
+def merge(a, b):
+    """Reference merge of two quanta tuples: plain sort, descending."""
+    return tuple(sorted(a + b, reverse=True))
+
+
+def test_packed_multisets_round_trip():
+    for l in range(25):
+        for c in range(-isqrt(l), isqrt(l) + 1):
+            for modes, _ in enumerate_bucket(c, l):
+                got = _unpack(_pack(modes))
+                assert got == modes
+                assert _unpack(_pack(modes)) is got
+
+
+def test_packed_sum_is_the_sorted_merge():
+    rng = random.Random(6)
+    for _ in range(400):
+        a, b = [], []
+        for side in (a, b):
+            budget = rng.choice((12, 60, 250))
+            while budget >= 2:
+                q = rng.randrange(2, min(budget, 40) + 1, 2)
+                side.append(q)
+                budget -= q
+        a, b = merge(tuple(a), ()), merge(tuple(b), ())
+        assert _unpack(_pack(a) + _pack(b)) == merge(a, b)
+    # the largest multiplicity a digit holds
+    assert _unpack(_pack((2,) * 120) + _pack((2,) * 135)) == (2,) * 255
+
+
+def test_multiplicity_256_raises(fock):
+    with pytest.raises(OverflowError):
+        _pack((2,) * 256)
+    with pytest.raises(OverflowError):
+        _pack((6, 4) + (2,) * 256)
+    # a merge inside an image kernel that would reach 256
+    assert fock._image_raw("b2", -2, ((2,) * 254, 0))[1] == ((((2,) * 255, 0), 1),)
+    with pytest.raises(OverflowError):
+        fock._image_raw("b2", -2, ((2,) * 255, 0))
+
+
+def reference_image(fock, kind, n4, mono):
+    """(base, items) in the image kernels' target order, built on quanta tuples
+    with the plain sorted merge: contraction patterns over the quantum sizes
+    largest first, creation multisets largest part first, and integer weights
+    over the lcm of the creation denominators reached."""
+    modes, c = mono
+    if kind in ("b0", "b2"):
+        if n4 < 0:
+            return ONE, (((merge(modes, (-n4,)), c), 1),)
+        k = modes.count(n4)
+        if not k:
+            return ONE, ()
+        rest = list(modes)
+        rest.remove(n4)
+        return gr(Fraction(1, 4)), (((tuple(rest), c), GRAM_NORM[n4 % 4] * n4 * k),)
+    if kind == "e1":
+        phase, c2 = fock.coset.act_on_charge(section(ALPHA1, HAT_LNU), c)
+        return phase, (((modes, c2), 1),)
+    if kind == "dT":
+        if c < 0:
+            return ONE, ()
+        items = []
+        for h4, factor, leftover in contractions(modes, {0: -1, 2: -1}):
+            if h4 == 2 * c:
+                items.append(((tuple(leftover), c), int(factor)))
+        return i_power(c), tuple(items)
+    data = fock.vertex[kind]
+    phase, c2 = fock.coset.act_on_charge(section(data.vec, HAT_LNU), c)
+    kappa = {0: data.kappa0, 2: data.kappa2}
+    want = -n4 - 2 * gram(data.vec, data.vec) - data.diag4_offset - data.diag4_slope * c
+    acc, dens = {}, []
+    for h4, afac, leftover in contractions(modes, {0: -2 * data.kappa0, 2: -6 * data.kappa2}):
+        if want + h4 < 0:
+            continue
+        cfacs = []
+        for parts in even_multisets(want + h4):
+            cfac = Fraction(1)
+            for q, j in Counter(parts).items():
+                cfac *= (4 * kappa[q % 4] / q) ** j / factorial(j)
+            if cfac:
+                cfacs.append((parts, cfac))
+        dens.append(lcm(*(cfac.denominator for _, cfac in cfacs)))
+        for parts, cfac in cfacs:
+            tgt = (merge(tuple(leftover), parts), c2)
+            acc[tgt] = acc.get(tgt, 0) + afac * cfac
+    den = lcm(*dens)
+    items = []
+    for tgt, w in acc.items():
+        assert (w * den).denominator == 1
+        if w:
+            items.append((tgt, int(w * den)))
+    return (data.prefactor * phase).scale_frac(Fraction(1, den)), tuple(items)
+
+
+def test_images_match_reference_merge(fock):
+    ops = (
+        [(k, n) for k in ("a1", "a2", "a12") for n in range(-11, 10)]
+        + [("b0", n) for n in range(-11, 10) if n and n % 4 == 0]
+        + [("b2", n) for n in range(-11, 10) if n % 4 == 2]
+        + [("e1", 0), ("dT", 0)]
+    )
+    for bucket in ((0, 0), (0, 8), (1, 9), (-1, 11), (2, 12), (1, 13), (0, 16)):
+        for mono in enumerate_bucket(*bucket):
+            for kind, n4 in ops:
+                base, items = fock._image_raw(kind, n4, mono)
+                want_base, want_items = reference_image(fock, kind, n4, mono)
+                assert base == want_base, (kind, n4, mono)
+                assert items == want_items, (kind, n4, mono)
+                assert all(type(n) is int for _, n in items)
