@@ -343,6 +343,8 @@ class TwistedFock:
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
         self._mono_cache: Dict[tuple, tuple] = {}  # raw images by (kind, n4, mono)
         self._matrix_cache: Dict[tuple, ExactMatrix] = {}
+        # (vertex key, source charge) -> (prefactor * coset phase, target charge)
+        self._phases: Dict[Tuple[str, int], Tuple[GaussianRational, int]] = {}
 
     # -- single-operator applications --------------------------------------
     #
@@ -353,8 +355,11 @@ class TwistedFock:
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
         data = self.vertex[key]
         modes, c = mono
-        phase, c2 = self.coset.act_on_charge(section(data.vec, HAT_LNU), c)
-        base = data.prefactor * phase
+        hit = self._phases.get((key, c))
+        if hit is None:
+            phase, c2 = self.coset.act_on_charge(section(data.vec, HAT_LNU), c)
+            hit = self._phases[(key, c)] = (data.prefactor * phase, c2)
+        base, c2 = hit
         d4 = data.diag4_offset + data.diag4_slope * c
         want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
         f0, f2 = data.f0, data.f2
@@ -601,15 +606,26 @@ def bracket_coeff(left: str, right: str, m4: int) -> GaussianRational:
 
 
 class _LocalApplier:
-    """Operator application with an image table local to one sweep, so the
-    global cache does not grow with large mode ranges."""
+    """Operator application for one verification sweep (one per sweep): raw
+    images live in a table local to the sweep, so the engine's cache does
+    not grow with large mode ranges and everything is freed when the sweep
+    returns.  Images k(n)*m of the current bucket's basis monomials are
+    remembered in units, which the sweep clears at each new bucket."""
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
         self.images: Dict[tuple, tuple] = {}
+        self.units: Dict[tuple, FockVector] = {}  # (kind, n4, mono) -> image of the unit vector
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply(kind, n4, vec, self.images)
+
+    def unit_image(self, kind: str, n4: int, mono: FockMonomial) -> FockVector:
+        key = (kind, n4, mono)
+        img = self.units.get(key)
+        if img is None:
+            img = self.units[key] = self.apply(kind, n4, FockVector.unit(mono))
+        return img
 
 
 def component_sign(n4: int) -> int:
@@ -651,17 +667,17 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12, direct: 
                 {"closure": ("a2", "a2", m4, n4)},
             )
     pair_types = [("a1", "a1")] + ([("a1", "a2"), ("a2", "a1"), ("a2", "a2")] if direct else [])
+    local = _LocalApplier(fock)
+    unit = local.unit_image
     for bucket in all_buckets(cutoff):
         c, l = bucket
-        local = _LocalApplier(fock)
-        basis = [FockVector.unit(m) for m in enumerate_bucket(*bucket)]
+        local.units.clear()
+        basis = enumerate_bucket(*bucket)
 
         def pair_ok(lk, m4, rk, n4, coeff) -> bool:
-            for v in basis:
-                lhs = local.apply(lk, m4, local.apply(rk, n4, v)) - local.apply(
-                    rk, n4, local.apply(lk, m4, v)
-                )
-                rhs = local.apply("a12", m4 + n4, v).scale(coeff)
+            for mono in basis:
+                lhs = local.apply(lk, m4, unit(rk, n4, mono)) - local.apply(rk, n4, unit(lk, m4, mono))
+                rhs = unit("a12", m4 + n4, mono).scale(coeff)
                 if lhs != rhs:
                     return False
             return True
@@ -670,9 +686,8 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12, direct: 
             if l - n4 > cutoff:
                 continue
             ok = all(
-                local.apply("a2", n4, v)
-                == local.apply("a1", n4, v).scale(GaussianRational(component_sign(n4)))
-                for v in basis
+                unit("a2", n4, mono) == unit("a1", n4, mono).scale(GaussianRational(component_sign(n4)))
+                for mono in basis
             )
             rep.record(ok, {"bracket": ("component-coincidence", n4), "bucket": bucket})
         for left, right in pair_types:
@@ -732,14 +747,14 @@ def check_quadratic_relations(
     """
     rep = Report("quadratic-relations")
     skipped = 0
+    local = _LocalApplier(fock)
 
     def run_terms(basis, terms, fam, t4, bucket):
         for mono in basis:
-            v = FockVector.unit(mono)
             total = FockVector()
             for word_and_sign in terms:
                 for (lk, a4, rk, b4), weight in word_and_sign:
-                    piece = fock.apply(lk, a4, fock.apply(rk, b4, v))
+                    piece = local.apply(lk, a4, local.unit_image(rk, b4, mono))
                     total = total + piece.scale(weight)
             rep.record(
                 total.is_zero(),
@@ -748,6 +763,7 @@ def check_quadratic_relations(
 
     for bucket in all_buckets(vec_cutoff):
         c, l = bucket
+        local.units.clear()
         basis = enumerate_bucket(*bucket)
         ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
         zcap = l - (c + 2) * (c + 2)

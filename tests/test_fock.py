@@ -24,7 +24,7 @@ from a2twist.fock import (
     self_bracket_coeff,
     sigma_factor,
 )
-from a2twist.groups import HAT_LNU, section
+from a2twist.groups import HAT_LNU, CosetModel, section
 from a2twist.lattice import ALPHA1, THETA, gram
 from a2twist.scalar import GaussianRational, ONE, QuarterInt, i_power
 
@@ -511,3 +511,92 @@ def test_images_match_reference_merge(fock):
                 assert base == want_base, (kind, n4, mono)
                 assert items == want_items, (kind, n4, mono)
                 assert all(type(n) is int for _, n in items)
+
+
+# --- operator work reused across a sweep ------------------------------------
+
+
+def test_sweeps_leave_the_engine_cache_empty():
+    fock = TwistedFock()
+    assert check_brackets(fock, 10, max_mode4=8, direct=True).passed
+    assert check_quadratic_relations(fock, 4, t4_max=12, max_intermediate=16).passed
+    assert fock._mono_cache == {}
+
+
+def test_unit_images_are_computed_once(fock):
+    local = _LocalApplier(fock)
+    mono = enumerate_bucket(1, 9)[2]
+    img = local.unit_image("a1", -3, mono)
+    assert img == fock.apply("a1", -3, FockVector.unit(mono))
+    assert local.unit_image("a1", -3, mono) is img
+    assert local.unit_image("a1", -1, mono) == fock.apply("a1", -1, FockVector.unit(mono))
+
+
+VERTEX_CHARGES = range(-3, 4)
+
+
+def vertex_images(fock, charge):
+    bucket = (charge, charge * charge + 6)
+    return {
+        (key, n4, mono): fock._vertex_raw(key, n4, mono)
+        for key in ("a1", "a2", "a12")
+        for n4 in (-5, -4, -1, 0, 3)
+        for mono in enumerate_bucket(*bucket)
+    }
+
+
+def test_phase_dict_holds_one_entry_per_operator_and_charge(monkeypatch):
+    fock = TwistedFock()
+    assert fock._phases == {}
+    calls = []
+    act = fock.coset.act_on_charge
+
+    def counted(a, c):
+        calls.append(c)
+        return act(a, c)
+
+    monkeypatch.setattr(fock.coset, "act_on_charge", counted)
+    for _ in range(2):
+        for charge in VERTEX_CHARGES:
+            vertex_images(fock, charge)
+    met = {(key, c) for key in ("a1", "a2", "a12") for c in VERTEX_CHARGES}
+    assert set(fock._phases) == met
+    assert len(calls) == len(met)
+
+
+def test_images_do_not_depend_on_charges_met_before():
+    warm = TwistedFock()
+    for charge in VERTEX_CHARGES:
+        for other in VERTEX_CHARGES:
+            if other != charge:
+                vertex_images(warm, other)
+        assert vertex_images(warm, charge) == vertex_images(TwistedFock(), charge), charge
+
+
+# --- fault injection: the reuse hides no mismatch -----------------------------
+
+
+def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
+    raw = TwistedFock._vertex_raw
+
+    def mutant(self, key, n4, mono):
+        base, items = raw(self, key, n4, mono)
+        if key == "a12" and sum(mono[0]) >= 12:
+            items = tuple((tgt, 2 * n) for tgt, n in items)
+        return base, items
+
+    monkeypatch.setattr(TwistedFock, "_vertex_raw", mutant)
+    assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
+    assert not check_quadratic_relations(TwistedFock(), 4, t4_max=12, max_intermediate=16).passed
+
+
+def test_odd_charge_phase_sign_fails_brackets(monkeypatch):
+    act = CosetModel.act_on_charge
+
+    def mutant(self, a, c):
+        phase, c2 = act(self, a, c)
+        return (-phase if c % 2 else phase), c2
+
+    monkeypatch.setattr(CosetModel, "act_on_charge", mutant)
+    fock = TwistedFock()  # built after the patch, so its phase dict holds the mutant
+    assert not check_brackets(fock, 12, max_mode4=8).passed
