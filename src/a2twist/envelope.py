@@ -7,12 +7,14 @@ automorphism and its companion map, and evaluation into the Fock module.
 PBW convention: central part first, then u-modes with creation modes
 (negative) leftmost and non-increasing, annihilating modes rightmost.  With
 annihilators on the right, a canonical monomial containing a nonnegative
-mode lies in the right ideal generated by nonnegative modes, so projecting
-onto the negative-mode subalgebra is literally dropping those monomials.
+mode lies in the left ideal U.n>=0 generated by nonnegative modes, so
+projecting onto the negative-mode subalgebra along it is literally dropping
+those monomials, and the projection commutes with left multiplication.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -50,6 +52,10 @@ def _u_sort_key(n4: int):
 
 def u_canonical(seq: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(seq, key=_u_sort_key))
+
+
+def _z_insert(z: Tuple[int, ...], m4: int) -> Tuple[int, ...]:
+    return tuple(sorted(z + (m4,), reverse=True))
 
 
 def bracket_uu_coeff(m4: int, n4: int) -> Optional[Fraction]:
@@ -178,12 +184,30 @@ class EnvElement:
         return out
 
     def left_mul_gen(self, gen: ModeGen) -> "EnvElement":
+        """gen times self, in closed form on canonical terms."""
+        if gen.label == "z":
+            return self._left_mul_z(gen.n.q)
+        return self._left_mul_u(gen.n.q)
+
+    def _left_mul_z(self, m4: int) -> "EnvElement":
         out = EnvElement()
         for (z, u), coeff in self.terms.items():
-            if gen.label == "z":
-                out._accumulate_raw(z + (gen.n.q,), u, coeff)
-            else:
-                out._accumulate_raw(z, (gen.n.q,) + u, coeff)
+            out.add_term((_z_insert(z, m4), u), coeff)
+        return out
+
+    def _left_mul_u(self, n4: int) -> "EnvElement":
+        """u(n) moves right past the p leading modes a_j that sort before it
+        and lands in canonical position; passing each a_j leaves
+        [u(n), u(a_j)] times the word without a_j, which is still canonical."""
+        out = EnvElement()
+        key = _u_sort_key(n4)
+        for (z, u), coeff in self.terms.items():
+            p = bisect.bisect_left(u, key, key=_u_sort_key)
+            out.add_term((z, u[:p] + (n4,) + u[p:]), coeff)
+            for j in range(p):
+                br = bracket_uu_coeff(n4, u[j])
+                if br is not None:
+                    out.add_term((_z_insert(z, n4 + u[j]), u[:j] + u[j + 1 :]), coeff * br)
         return out
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
@@ -202,8 +226,9 @@ class EnvElement:
         return next(iter(grades))
 
     def project_negative(self) -> "EnvElement":
-        """Projection onto the negative-mode subalgebra along the right ideal
-        of nonnegative modes (valid on canonical monomials)."""
+        """Projection onto the negative-mode subalgebra along the left ideal
+        U.n>=0 of nonnegative modes (valid on canonical monomials); it
+        commutes with left multiplication."""
         return EnvElement({m: c for m, c in self.terms.items() if monomial_negative(m)})
 
     # -- structural maps ------------------------------------------------------
@@ -231,25 +256,44 @@ class EnvElement:
 
     # -- evaluation into the module ------------------------------------------
 
-    def evaluate(self, fock: TwistedFock, start: Optional[FockVector] = None) -> FockVector:
-        """Apply to a module vector (the vacuum by default), substituting the
-        component operators for the generators, rightmost factor first."""
-        base = fock.vacuum() if start is None else start
+    def evaluate(
+        self, fock: TwistedFock, table: Optional[Dict[PBWMonomial, FockVector]] = None
+    ) -> FockVector:
+        """Apply to the vacuum, substituting the component operators for the
+        generators.  Each monomial's image is read from table (a fresh one by
+        default) through vacuum_image, so a caller that passes one table to
+        many elements evaluates each PBW monomial once."""
+        if table is None:
+            table = {}
         total = FockVector()
-        for (z, u), coeff in self.terms.items():
-            v = base
-            for n4 in reversed(u):
-                v = fock.apply("a1", n4, v)
-                if v.is_zero():
-                    break
-            if v.is_zero():
-                continue
-            for m4 in reversed(z):
-                v = fock.apply("a12", m4, v)
-                if v.is_zero():
-                    break
-            total = total + v.scale(coeff)
+        for mono, coeff in self.terms.items():
+            for tgt, c in vacuum_image(fock, mono, table).terms.items():
+                total.add_term(tgt, c * coeff)
         return total
+
+
+def vacuum_image(
+    fock: TwistedFock, mono: PBWMonomial, table: Dict[PBWMonomial, FockVector]
+) -> FockVector:
+    """The canonical monomial applied to the vacuum, as table[mono].  Missing
+    entries are filled along the chain of suffixes: ev(m) = x.ev(rest), x the
+    leftmost factor (z[0] while the central part is non-empty, else u[0]) and
+    rest, m without it, still canonical."""
+    chain = []
+    while mono not in table:
+        if mono == ONE_MONO:
+            table[mono] = fock.vacuum()
+            break
+        chain.append(mono)
+        z, u = mono
+        mono = (z[1:], u) if z else ((), u[1:])
+    v = table[mono]
+    for m in reversed(chain):
+        z, u = m
+        if v.terms:
+            v = fock.apply("a12", z[0], v) if z else fock.apply("a1", u[0], v)
+        table[m] = v
+    return v
 
 
 # --- truncated quadratic generators ------------------------------------------
@@ -296,16 +340,17 @@ def make_R0(kind: str, t4: int) -> EnvElement:
     return out
 
 
+def _generator_keys(max_qweight4: int) -> List[Tuple[str, int]]:
+    return (
+        [(R1, t4) for t4 in range(2, max_qweight4 + 1, 2)]
+        + [(R12, t4) for t4 in range(8, max_qweight4 + 1, 4)]
+        + [(R121, t4) for t4 in range(5, max_qweight4 + 1, 2)]
+    )
+
+
 def generator_list(max_qweight4: int) -> List[Tuple[str, int, EnvElement]]:
     """All ideal generators of quarter-weight at most the bound."""
-    out = []
-    for t4 in range(2, max_qweight4 + 1, 2):
-        out.append((R1, t4, make_R0(R1, t4)))
-    for t4 in range(8, max_qweight4 + 1, 4):
-        out.append((R12, t4, make_R0(R12, t4)))
-    for t4 in range(5, max_qweight4 + 1, 2):
-        out.append((R121, t4, make_R0(R121, t4)))
-    return out
+    return [(kind, t4, make_R0(kind, t4)) for kind, t4 in _generator_keys(max_qweight4)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +402,7 @@ def pbw_monomials(charge: int, qweight4: int) -> List[PBWMonomial]:
 
 class IdealSlice:
     """Graded pieces of the relation ideal, projected onto the negative-mode
-    subalgebra along the right ideal of nonnegative modes.
+    subalgebra along the left ideal U.n>=0 of nonnegative modes.
 
     Spanning vectors are left PBW multiples of the projected dressed
     generators: dressing means pre-multiplying a generator by nonnegative
@@ -365,57 +410,73 @@ class IdealSlice:
     central factor contributes nothing after projection) and projecting.
     The dressing mode is explored up to the generator's quarter-weight plus
     a configurable slack, which the tests widen to confirm saturation.
+
+    Each generator is dressed once, and each PBW monomial list read once;
+    both are kept for the life of the slice.
     """
 
     def __init__(self, slack4: int = 0):
         self.slack4 = slack4
-        self._dressed: Dict[int, List[EnvElement]] = {}
+        # (kind, t4) -> [(dressed generator, its grade)]
+        self._dressed: Dict[Tuple[str, int], List[Tuple[EnvElement, Tuple[int, int]]]] = {}
+        self._monomials: Dict[Tuple[int, int], Tuple[PBWMonomial, ...]] = {}
 
-    def dressed_generators(self, max_qweight4: int) -> List[EnvElement]:
-        hit = self._dressed.get(max_qweight4)
+    def _dress(self, kind: str, t4: int) -> List[Tuple[EnvElement, Tuple[int, int]]]:
+        hit = self._dressed.get((kind, t4))
         if hit is not None:
             return hit
+        gen = make_R0(kind, t4)
+        n_u = 2 if kind == R1 else (1 if kind == R121 else 0)
+        bound = t4 + self.slack4
+        dressings = [()]
+        if n_u >= 1:
+            dressings += [(a,) for a in range(1, bound + 1, 2)]
+        if n_u >= 2:
+            dressings += [
+                (a, b)
+                for a in range(1, bound + 1, 2)
+                for b in range(a, bound + 1, 2)
+            ]
         out = []
-        for kind, t4, gen in generator_list(max_qweight4):
-            n_u = 2 if kind == R1 else (1 if kind == R121 else 0)
-            bound = t4 + self.slack4
-            dressings = [()]
-            if n_u >= 1:
-                dressings += [(a,) for a in range(1, bound + 1, 2)]
-            if n_u >= 2:
-                dressings += [
-                    (a, b)
-                    for a in range(1, bound + 1, 2)
-                    for b in range(a, bound + 1, 2)
-                ]
-            for dress in dressings:
-                elt = gen
-                for a4 in dress:
-                    elt = elt.left_mul_gen(ModeGen.u(a4))
-                proj = elt.project_negative()
-                if not proj.is_zero():
-                    out.append(proj)
-        self._dressed[max_qweight4] = out
+        for dress in dressings:
+            elt = gen
+            for a4 in dress:
+                elt = elt._left_mul_u(a4)
+            proj = elt.project_negative()
+            if not proj.is_zero():
+                out.append((proj, proj.grade()))
+        self._dressed[(kind, t4)] = out
         return out
 
+    def dressed_generators(self, max_qweight4: int) -> List[EnvElement]:
+        return [h for kind, t4 in _generator_keys(max_qweight4) for h, _ in self._dress(kind, t4)]
+
+    def _pbw_monomials(self, charge: int, qweight4: int) -> Tuple[PBWMonomial, ...]:
+        hit = self._monomials.get((charge, qweight4))
+        if hit is None:
+            hit = self._monomials[(charge, qweight4)] = tuple(pbw_monomials(charge, qweight4))
+        return hit
+
     def bucket_span(self, charge: int, qweight4: int) -> List[EnvElement]:
-        """Spanning set of the ideal's projection in one graded piece."""
+        """Spanning set of the ideal's projection in one graded piece: each
+        dressed generator h times the PBW monomials of the missing grade.
+        h has negative modes only, and so has its product with negative
+        modes: the projection, which commutes with left multiplication, is
+        not taken again."""
         out = []
-        for h in self.dressed_generators(qweight4):
-            gk, gq = h.grade()
-            dk, dq = charge - gk, qweight4 - gq
-            if dk < 0 or dq < dk:  # each creation generator costs at least 1 quarter
-                continue
-            for mono in pbw_monomials(dk, dq):
-                z, u = mono
-                elt = h
-                for n4 in reversed(u):
-                    elt = elt.left_mul_gen(ModeGen.u(n4))
-                for m4 in reversed(z):
-                    elt = elt.left_mul_gen(ModeGen.z(m4))
-                proj = elt.project_negative()
-                if not proj.is_zero():
-                    out.append(proj)
+        for kind, t4 in _generator_keys(qweight4):
+            for h, (gk, gq) in self._dress(kind, t4):
+                dk, dq = charge - gk, qweight4 - gq
+                if dk < 0 or dq < dk:  # each creation generator costs at least 1 quarter
+                    continue
+                for z, u in self._pbw_monomials(dk, dq):
+                    elt = h
+                    for n4 in reversed(u):
+                        elt = elt._left_mul_u(n4)
+                    for m4 in reversed(z):
+                        elt = elt._left_mul_z(m4)
+                    if not elt.is_zero():
+                        out.append(elt)
         return out
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from a2twist import envelope
 from a2twist.analyzer import (
     GradedTable,
     PrincipalSubspace,
@@ -122,3 +123,21 @@ def test_graded_dimension_helper(fock):
     table = graded_dimension(fock, 8)
     assert table.dim(2, 6) == 1
     assert table.entries[(5, 7)] == 0
+
+
+# --- fault injection: the presentation suite must catch a broken envelope ---
+
+
+def test_dropped_bracket_fails_presentation(fock, monkeypatch):
+    monkeypatch.setattr(envelope, "bracket_uu_coeff", lambda m4, n4: None)
+    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+
+
+def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):
+    vacuum_image = envelope.vacuum_image
+
+    def mutant(fock_, mono, table):
+        return vacuum_image(fock_, ((), mono[1]), table)
+
+    monkeypatch.setattr(envelope, "vacuum_image", mutant)
+    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed

@@ -16,6 +16,7 @@ from a2twist.envelope import (
     generator_list,
     make_R0,
     monomial_charge,
+    monomial_negative,
     monomial_qweight4,
     pbw_monomials,
     u_canonical,
@@ -269,3 +270,134 @@ def test_ideal_stability():
     assert len(bs) == 1 and len(ds) == 1  # constants independent of the degree
     assert rep.details["solved_b"]["1"] == {"re": "-2", "im": "0"}
     assert rep.details["solved_d"]["7/4"] == {"re": "-1/2", "im": "0"}
+
+
+# --- the closed forms against the straightforward constructions ------------
+
+
+def _random_canonical(rng, n_terms=3):
+    """A Q(i)-combination of normal-ordered random words, nonnegative u-modes
+    and z(0) included."""
+    odd = [-7, -5, -3, -1, 1, 3, 5]
+    zmodes = [-8, -4, 0]
+    out = EnvElement()
+    for _ in range(n_terms):
+        z = [rng.choice(zmodes) for _ in range(rng.randint(0, 2))]
+        u = [rng.choice(odd) for _ in range(rng.randint(0, 4))]
+        coeff = gr(rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+        out = out + EnvElement.monomial(z, u, coeff)
+    return out
+
+
+def _stack_left_mul(elt, gen):
+    """Left multiplication through the generic straightening stack."""
+    out = EnvElement()
+    for (z, u), coeff in elt.terms.items():
+        if gen.label == "z":
+            out._accumulate_raw(z + (gen.n.q,), u, coeff)
+        else:
+            out._accumulate_raw(z, (gen.n.q,) + u, coeff)
+    return out
+
+
+def _chain_evaluate(fock, elt):
+    """Each term applied to the vacuum rightmost factor first, summed."""
+    total = fock.vacuum().scale(gr(0))
+    for (z, u), coeff in elt.terms.items():
+        v = fock.vacuum()
+        for n4 in reversed(u):
+            v = fock.apply("a1", n4, v)
+        for m4 in reversed(z):
+            v = fock.apply("a12", m4, v)
+        total = total + v.scale(coeff)
+    return total
+
+
+def test_projection_commutes_with_left_multiplication():
+    rng = random.Random(23)
+    negative = [ModeGen.u(n4) for n4 in (-7, -5, -3, -1)] + [ModeGen.z(m4) for m4 in (-8, -4)]
+    right_differs = 0
+    for _ in range(300):
+        x = _random_canonical(rng)
+        g = rng.choice(negative)
+        assert x.left_mul_gen(g).project_negative() == x.project_negative().left_mul_gen(g)
+        if x.right_mul_gen(g).project_negative() != x.project_negative().right_mul_gen(g):
+            right_differs += 1
+    # the nonnegative monomials form a left ideal, not a right one
+    assert right_differs > 0
+
+
+def test_closed_form_left_mul_matches_stack_path():
+    rng = random.Random(31)
+    gens = [ModeGen.u(n4) for n4 in range(-9, 10, 2)] + [ModeGen.z(m4) for m4 in (-8, -4, 0, 4)]
+    for _ in range(200):
+        x = _random_canonical(rng, rng.randint(1, 4))
+        for g in rng.sample(gens, 4):
+            assert x.left_mul_gen(g) == _stack_left_mul(x, g), (x, g)
+
+
+def test_table_evaluation_matches_operator_chain(fock):
+    table = {}
+    for l in range(13):
+        for k in range(l + 1):
+            for mono in pbw_monomials(k, l):
+                a = EnvElement({mono: ONE})
+                for elt in (a, a.shift(1), a.psi()):
+                    want = _chain_evaluate(fock, elt)
+                    assert elt.evaluate(fock, table) == want, mono
+                    assert elt.evaluate(fock) == want, mono
+    # one entry per monomial met, each the operator chain on its own
+    for mono, v in table.items():
+        assert v == _chain_evaluate(fock, EnvElement({mono: ONE}))
+
+
+def _dressed_per_weight(max_qweight4, slack4):
+    """The dressing rebuilt from scratch for one weight bound."""
+    out = []
+    for kind, t4, gen in generator_list(max_qweight4):
+        n_u = 2 if kind == R1 else (1 if kind == R121 else 0)
+        bound = t4 + slack4
+        dressings = [()]
+        if n_u >= 1:
+            dressings += [(a,) for a in range(1, bound + 1, 2)]
+        if n_u >= 2:
+            dressings += [(a, b) for a in range(1, bound + 1, 2) for b in range(a, bound + 1, 2)]
+        for dress in dressings:
+            elt = gen
+            for a4 in dress:
+                elt = _stack_left_mul(elt, ModeGen.u(a4))
+            proj = elt.project_negative()
+            if not proj.is_zero():
+                out.append(proj)
+    return out
+
+
+def test_dressed_generators_match_per_weight_construction():
+    for slack in (0, 4):
+        slice_ = IdealSlice(slack4=slack)
+        for l in list(range(17)) + [9, 3]:
+            assert slice_.dressed_generators(l) == _dressed_per_weight(l, slack), (slack, l)
+        assert len(slice_._dressed) == len(generator_list(16))
+
+
+def test_bucket_span_matches_projected_products():
+    slice_ = IdealSlice()
+    for l in range(13):
+        for k in range(l + 1):
+            want = []
+            for h in _dressed_per_weight(l, 0):
+                gk, gq = h.grade()
+                if k - gk < 0 or l - gq < k - gk:
+                    continue
+                for z, u in pbw_monomials(k - gk, l - gq):
+                    elt = h
+                    for n4 in reversed(u):
+                        elt = _stack_left_mul(elt, ModeGen.u(n4))
+                    for m4 in reversed(z):
+                        elt = _stack_left_mul(elt, ModeGen.z(m4))
+                    proj = elt.project_negative()
+                    if not proj.is_zero():
+                        want.append(proj)
+            got = slice_.bucket_span(k, l)
+            assert got == want, (k, l)
+            assert all(monomial_negative(m) for elt in got for m in elt.terms)
