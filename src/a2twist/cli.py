@@ -138,6 +138,9 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             print("unknown suite: %s (choose from %s)" % (name, ",".join(SUITES)), file=sys.stderr)
             return 2
+    if len(set(names)) < len(names):
+        print("each suite may be named once: %s" % args.suites, file=sys.stderr)
+        return 2
     if args.presentation_cutoff > args.cutoff or args.exactness_cutoff > args.cutoff:
         print("sub-cutoffs must not exceed the global cutoff", file=sys.stderr)
         return 2

@@ -68,7 +68,7 @@ def test_criterion_02_recursion(space40):
 
 def test_criterion_03_linear_relations(fock):
     rep = check_linear_relations(fock, RELATION_CUTOFF)
-    _announce("component mode relations as exact matrices to qweight 24", rep)
+    _announce("component mode relations on exact basis-vector images to qweight 24", rep)
 
 
 def test_criterion_04_bracket_table(fock):

@@ -89,6 +89,19 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suites", ["oracle,oracle", "group,relations,group"])
+def test_repeated_suite_exits_2(capsys, monkeypatch, suites):
+    def must_not_run(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("check_linear_relations", "group_invariant_report", "check_oracle"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code = main(["verify", "--suites", suites, "--cutoff", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "named once" in captured.err
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--cutoff", "-3"])

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -351,8 +352,9 @@ def all_paths(fock, kind, n4, vectors):
     }
 
 
-def test_shared_denominator_kernel_matches_term_sum():
-    fock = TwistedFock()
+def check_kernel_against_term_sum(fock):
+    """Every application path against reference_apply on seeded random
+    vectors with mixed denominators, over KERNEL_OPS."""
     rng = random.Random(5)
     dens = (1, 2, 3, 4, 5, 7, 12)
     for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
@@ -369,6 +371,30 @@ def test_shared_denominator_kernel_matches_term_sum():
             want = [reference_apply(fock, kind, n4, v) for v in vectors]
             for path, got in all_paths(fock, kind, n4, vectors).items():
                 assert [g.terms for g in got] == want, (path, bucket, kind, n4)
+
+
+def test_shared_denominator_kernel_matches_term_sum():
+    fock = TwistedFock()
+    check_kernel_against_term_sum(fock)
+    # stored records hold their weights as one 64-bit array each
+    records = [rec for rec in fock._mono_cache.values() if rec[1]]
+    assert len(records) > 100
+    assert all(type(nums) is array and nums.typecode == "q" for _, _, nums in records)
+
+
+def test_weights_beyond_64_bits_stay_exact(monkeypatch):
+    fock = TwistedFock()
+    raw = fock._image_raw
+    wide = (-(2**63), 2**63, 2**63 + 1, -(2**64) - 3, 3 * 2**70)  # the first fits in 64 bits
+
+    def widened(kind, n4, mono):
+        base, items = raw(kind, n4, mono)
+        return base, tuple((tgt, n * wide[k % len(wide)]) for k, (tgt, n) in enumerate(items))
+
+    monkeypatch.setattr(fock, "_image_raw", widened)
+    check_kernel_against_term_sum(fock)
+    kinds = {type(nums) for _, targets, nums in fock._mono_cache.values() if targets}
+    assert kinds == {array, tuple}  # a single -2**63 weight still fits the array
 
 
 def test_shared_denominator_kernel_drops_cancelled_targets():
@@ -514,6 +540,42 @@ def test_images_match_reference_merge(fock):
 
 
 # --- operator work reused across a sweep ------------------------------------
+
+
+def test_relations_suite_keeps_no_images():
+    fock = TwistedFock()
+    assert check_linear_relations(fock, 8).passed
+    assert fock._matrix_cache == {} and fock._mono_cache == {}
+
+
+def relations_with(monkeypatch, mutate):
+    """check_linear_relations(fock, 8) on an engine whose raw images pass
+    through mutate(kind, n4, mono, base, items)."""
+    fock = TwistedFock()
+    raw = fock._image_raw
+    monkeypatch.setattr(fock, "_image_raw", lambda kind, n4, mono: mutate(kind, n4, mono, *raw(kind, n4, mono)))
+    return check_linear_relations(fock, 8)
+
+
+def test_relations_catch_a_flipped_coincidence_sign(monkeypatch):
+    def negate_a2(kind, n4, mono, base, items):
+        return (-base if kind == "a2" and n4 % 4 == 1 else base), items
+
+    rep = relations_with(monkeypatch, negate_a2)
+    assert not rep.passed
+    assert {f["relation"] for f in rep.failures} == {"component-coincidence"}
+    assert all(f["n4"] % 4 == 1 for f in rep.failures)
+
+
+def test_relations_catch_a_nonvanishing_half_integer_mode(monkeypatch):
+    def leak_a1(kind, n4, mono, base, items):
+        return (base, ((mono, 1),)) if kind == "a1" and n4 == -2 else (base, items)
+
+    rep = relations_with(monkeypatch, leak_a1)
+    assert not rep.passed
+    assert rep.failures and all(
+        f == {"relation": "half-integer-vanishing", "bucket": f["bucket"], "n4": -2, "op": "a1"} for f in rep.failures
+    )
 
 
 def test_sweeps_leave_the_engine_cache_empty():
