@@ -7,7 +7,6 @@ shift-morphism identities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -72,11 +71,11 @@ class PrincipalSubspace:
     """Charge/weight-graded bases of the subspace generated from the vacuum
     by the negative simple and central component modes."""
 
-    def __init__(self, fock: TwistedFock, cutoff: int, jobs: int = 1):
+    def __init__(self, fock: TwistedFock, cutoff: int):
         self.fock = fock
         self.cutoff = cutoff
         self.bases: Dict[BucketKey, List[FockVector]] = {}
-        self._build(jobs)
+        self._build()
 
     def _candidates(self, k: int, l: int) -> List[FockVector]:
         out = []
@@ -98,26 +97,15 @@ class PrincipalSubspace:
                 kept.append(cand)
         return kept
 
-    def _build(self, jobs: int) -> None:
+    def _build(self) -> None:
         self.bases[(0, 0)] = [self.fock.vacuum()]
         kmax = isqrt(self.cutoff)
         for k in range(1, kmax + 1):
-            keys = [
-                (k, l)
-                for l in range(k * k, self.cutoff + 1)
-                if bucket_exists(k, l)
-            ]
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(self._reduce_bucket, keys))
-                for key, res in zip(keys, results):
+            for l in range(k * k, self.cutoff + 1):
+                if bucket_exists(k, l):
+                    res = self._reduce_bucket((k, l))
                     if res:
-                        self.bases[key] = res
-            else:
-                for key in keys:
-                    res = self._reduce_bucket(key)
-                    if res:
-                        self.bases[key] = res
+                        self.bases[(k, l)] = res
 
     def dims(self) -> Dict[BucketKey, int]:
         return {key: len(b) for key, b in self.bases.items()}
@@ -129,8 +117,8 @@ class PrincipalSubspace:
         return self.bases.get((k, l), [])
 
 
-def graded_dimension(fock: TwistedFock, cutoff: int, jobs: int = 1) -> GradedTable:
-    return PrincipalSubspace(fock, cutoff, jobs=jobs).table()
+def graded_dimension(fock: TwistedFock, cutoff: int) -> GradedTable:
+    return PrincipalSubspace(fock, cutoff).table()
 
 
 def check_oracle(table: GradedTable) -> Report:

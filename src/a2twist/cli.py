@@ -54,8 +54,8 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _table_rows(fock: TwistedFock, cutoff: int, jobs: int):
-    table = PrincipalSubspace(fock, cutoff, jobs=jobs).table()
+def _table_rows(fock: TwistedFock, cutoff: int):
+    table = PrincipalSubspace(fock, cutoff).table()
     rows = []
     for (k, l), d in sorted(table.entries.items()):
         oracle = partition_oracle(k, l)
@@ -65,7 +65,7 @@ def _table_rows(fock: TwistedFock, cutoff: int, jobs: int):
 
 def cmd_dims(args) -> int:
     fock = TwistedFock()
-    table, rows = _table_rows(fock, args.cutoff, args.parallelism)
+    table, rows = _table_rows(fock, args.cutoff)
     all_match = all(r["match"] for r in rows)
     if args.format == "json":
         _emit_json(
@@ -93,14 +93,14 @@ def cmd_dims(args) -> int:
     return 0 if all_match else 1
 
 
-def run_suites(names: List[str], cutoff: int, exactness_cutoff: int, presentation_cutoff: int, jobs: int) -> List[Report]:
+def run_suites(names: List[str], cutoff: int, exactness_cutoff: int, presentation_cutoff: int) -> List[Report]:
     fock = TwistedFock()
     space: Optional[PrincipalSubspace] = None
 
     def need_space() -> PrincipalSubspace:
         nonlocal space
         if space is None:
-            space = PrincipalSubspace(fock, cutoff, jobs=jobs)
+            space = PrincipalSubspace(fock, cutoff)
         return space
 
     out = []
@@ -144,16 +144,13 @@ def cmd_verify(args) -> int:
     if args.presentation_cutoff > args.cutoff or args.exactness_cutoff > args.cutoff:
         print("sub-cutoffs must not exceed the global cutoff", file=sys.stderr)
         return 2
-    reports = run_suites(
-        names, args.cutoff, args.exactness_cutoff, args.presentation_cutoff, args.parallelism
-    )
+    reports = run_suites(names, args.cutoff, args.exactness_cutoff, args.presentation_cutoff)
     doc = {
         "tool_version": __version__,
         "config": {
             "cutoff": args.cutoff,
             "exactness_cutoff": args.exactness_cutoff,
             "presentation_cutoff": args.presentation_cutoff,
-            "parallelism": args.parallelism,
             "suites": names,
         },
         "suites": [r.as_dict() for r in reports],
@@ -181,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims = sub.add_parser("dims", help="graded dimension table against the partition oracle")
     p_dims.add_argument("--cutoff", type=int, default=40)
     p_dims.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p_dims.add_argument("--parallelism", type=int, default=1)
     p_dims.set_defaults(func=cmd_dims)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
@@ -190,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--exactness-cutoff", type=int, default=None)
     p_ver.add_argument("--presentation-cutoff", type=int, default=None)
     p_ver.add_argument("--format", choices=("json", "text"), default="text")
-    p_ver.add_argument("--parallelism", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("oracle", help="partitions of n into m distinct odd parts")
@@ -209,8 +204,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.exactness_cutoff = min(args.cutoff, 24)
         if args.presentation_cutoff is None:
             args.presentation_cutoff = min(args.cutoff, 12)
-    if getattr(args, "cutoff", 0) < 0 or getattr(args, "parallelism", 1) < 1:
-        parser.error("cutoff must be nonnegative and parallelism positive")
+    if getattr(args, "cutoff", 0) < 0:
+        parser.error("cutoff must be nonnegative")
     if args.command == "verify" and min(args.exactness_cutoff, args.presentation_cutoff) < 0:
         parser.error("sub-cutoffs must be nonnegative")
     # usage errors are rejected before any work, so whatever is raised here is internal

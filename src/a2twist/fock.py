@@ -208,14 +208,16 @@ def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
 # 8 * (q/2 - 1), so merging two multisets is one integer addition.  A digit
 # reaches 256 only if the merged quanta weigh at least 256 * 2, so every
 # merge is preceded by _check_room on the merged mode sum, which raises
-# rather than let a multiplicity carry into the next digit.  Targets are
-# decoded through an intern table holding one entry per distinct multiset
-# met, so the cutoff bounds it (at most 915 multisets at qweight 32).
+# rather than let a multiplicity carry into the next digit.  Kernel targets
+# are interned (one shared int per multiset) and decoded, at the edge,
+# through an intern table; both hold one entry per distinct multiset met, so
+# the cutoff bounds them (at most 915 multisets at qweight 32).
 
 _DIGIT_BITS = 8
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 _MODE_SUM_LIMIT = 2 << _DIGIT_BITS  # least mode sum at which a multiplicity can reach 256
 _MODES: Dict[int, Tuple[int, ...]] = {}  # packed multiset -> quanta sorted descending
+_TARGETS: Dict[int, int] = {}  # packed multiset -> its one shared int object
 
 
 def _check_room(mode_sum: int) -> None:
@@ -253,6 +255,12 @@ def _unpack(packed: int) -> Tuple[int, ...]:
             q += 2
         modes = _MODES[packed] = tuple(reversed(out))
     return modes
+
+
+def _interned(packed) -> tuple:
+    """The shared int objects of packed multisets, as a tuple, so image
+    records hold no int of their own."""
+    return tuple(map(_TARGETS.setdefault, packed, packed))
 
 
 class _MonomialTable(dict):
@@ -328,137 +336,170 @@ def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[int, in
     return den, tuple((parts, coeff.numerator * (den // coeff.denominator)) for parts, coeff in out)
 
 
-def _record(base: GaussianRational, items: tuple) -> tuple:
-    """A raw image as image tables store it: (base, targets, numerators), the
+def _record(den: int, targets: tuple, nums) -> tuple:
+    """A kernel as image tables store it: (den, targets, numerators), the
     numerators one signed 64-bit array, or exact ints where one does not fit."""
-    targets, nums = zip(*items) if items else ((), ())
     try:
-        return base, targets, array("q", nums) if nums else nums
+        return den, targets, array("q", nums) if nums else ()
     except OverflowError:
-        return base, targets, nums
+        return den, targets, tuple(nums)
 
 
 class TwistedFock:
-    """Operator engine for the twisted module; all maps cached per monomial."""
+    """Operator engine for the twisted module; image kernels cached by
+    (operator, kernel argument, modes), shared across charges."""
 
     def __init__(self):
         self.tau = TauTable()
         self.coset = CosetModel(self.tau)
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
-        self._mono_cache: Dict[tuple, tuple] = {}  # image records by (kind, n4, mono)
+        self._mono_cache: Dict[tuple, tuple] = {}  # image records by (kind, kernel argument, modes)
         self._matrix_cache: Dict[tuple, ExactMatrix] = {}
         # (vertex key, source charge) -> (prefactor * coset phase, target charge)
         self._phases: Dict[Tuple[str, int], Tuple[GaussianRational, int]] = {}
 
     # -- single-operator applications --------------------------------------
     #
-    # Raw images are (base, items): one Q(i) scalar carrying all phases,
-    # prefactors and the image's denominator, and integer weights per target
-    # monomial.  The split keeps the hot accumulation loops in plain ints.
+    # The image of a monomial (modes, c) splits in two.  The head depends on
+    # the operator, its mode and the source charge only: (kernel argument,
+    # base, target charge), the base a Q(i) scalar carrying phases and
+    # prefactors.  The kernel depends on the operator, the argument and the
+    # modes only: (den, packed targets, integer numerators).  For a vertex
+    # operator the argument is the quarter-degree the creating exponential
+    # must add beyond what the annihilating one removes, so one kernel
+    # serves every charge whose mode and x-power give the same degree.
 
-    def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
-        data = self.vertex[key]
-        modes, c = mono
-        hit = self._phases.get((key, c))
-        if hit is None:
-            phase, c2 = self.coset.act_on_charge(section(data.vec, HAT_LNU), c)
-            hit = self._phases[(key, c)] = (data.prefactor * phase, c2)
-        base, c2 = hit
-        d4 = data.diag4_offset + data.diag4_slope * c
-        want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
-        f0, f2 = data.f0, data.f2
-        _check_room(sum(modes) + want)  # the mode sum of every target
-        terms = []
-        for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
-            if want + h4 >= 0:
-                terms.append((afac, leftover, _creation_terms(f0, f2, want + h4)))
-        # integer numerators per packed target over one denominator, folded into the base
-        den = lcm(*(created[0] for _, _, created in terms))
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for afac, leftover, (cden, created) in terms:
-            w = afac * (den // cden)
-            for parts, num in created:
-                tgt = leftover + parts
-                acc[tgt] = get(tgt, 0) + w * num
-        monos = _monomials(c2)
-        items = tuple((monos[tgt], n) for tgt, n in acc.items() if n)
-        return base.scale_frac(Fraction(1, den)), items
-
-    def _heis_raw(self, family: int, n4: int, mono: FockMonomial):
-        """family 0 or 2 = residue class of the boson; n4 signed quarter index."""
-        modes, c = mono
-        if n4 == 0 or (n4 - family) % 4:
-            raise ValueError("mode does not match the boson family")
-        if n4 < 0:
-            _check_room(sum(modes) - n4)
-            return ONE, ((_monomials(c)[_pack(modes) + _mode_unit(-n4)], 1),)
-        k = modes.count(n4)
-        if not k:
-            return ONE, ()
-        rest = list(modes)
-        rest.remove(n4)
-        return GaussianRational(Fraction(1, 4)), (((tuple(rest), c), GRAM_NORM[family] * n4 * k),)
-
-    def _e1_raw(self, mono: FockMonomial):
-        modes, c = mono
-        phase, c2 = self.coset.act_on_charge(section(ALPHA1, HAT_LNU), c)
-        return phase, (((modes, c2), 1),)
-
-    def _delta_raw(self, mono: FockMonomial):
-        modes, c = mono
-        need = 2 * c
-        if need < 0:
-            return ONE, ()
-        out = []
-        for h4, afac, leftover in _annihilation_terms(modes, -1, -1):
-            if h4 == need:
-                out.append((_monomials(c)[leftover], afac))
-        return i_power(c), tuple(out)
-
-    def _image_raw(self, kind: str, n4: int, mono: FockMonomial):
-        if kind in self.vertex:
-            return self._vertex_raw(kind, n4, mono)
-        if kind == "b0":
-            return self._heis_raw(0, n4, mono)
-        if kind == "b2":
-            return self._heis_raw(2, n4, mono)
+    def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
+        data = self.vertex.get(kind)
+        if data is not None:
+            hit = self._phases.get((kind, c))
+            if hit is None:
+                phase, c2 = self.coset.act_on_charge(section(data.vec, HAT_LNU), c)
+                hit = self._phases[(kind, c)] = (data.prefactor * phase, c2)
+            d4 = data.diag4_offset + data.diag4_slope * c
+            want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
+            return want, hit[0], hit[1]
+        if kind in ("b0", "b2"):
+            if n4 == 0 or (n4 - (2 if kind == "b2" else 0)) % 4:
+                raise ValueError("mode does not match the boson family")
+            return n4, ONE, c
         if kind == "e1":
-            return self._e1_raw(mono)
+            phase, c2 = self.coset.act_on_charge(section(ALPHA1, HAT_LNU), c)
+            return 0, phase, c2
         if kind == "dT":
-            return self._delta_raw(mono)
+            # the constant term removes quarter-weight 2c, nothing below charge 0
+            return 2 * c, i_power(c) if c >= 0 else ONE, c
         raise ValueError("unknown operator kind %r" % kind)
 
-    def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
-        """Image of vec, image records looked up in (or added to) images under
-        (kind, n4, mono).  Each source term is scaled once; the scaled terms
-        are summed as Gaussian-integer numerators over their common
-        denominator, and each surviving target is reduced once."""
+    def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...]) -> Tuple[int, tuple, list]:
+        data = self.vertex.get(kind)
+        if data is not None:
+            f0, f2 = data.f0, data.f2
+            _check_room(sum(modes) + arg)  # the mode sum of every target
+            terms = []
+            for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
+                if arg + h4 >= 0:
+                    terms.append((afac, leftover, _creation_terms(f0, f2, arg + h4)))
+            # integer numerators per packed target over one denominator
+            den = lcm(*(created[0] for _, _, created in terms))
+            acc: Dict[int, int] = {}
+            get = acc.get
+            for afac, leftover, (cden, created) in terms:
+                w = afac * (den // cden)
+                for parts, num in created:
+                    tgt = leftover + parts
+                    acc[tgt] = get(tgt, 0) + w * num
+            if not all(acc.values()):
+                acc = {tgt: n for tgt, n in acc.items() if n}
+            return den, _interned(acc), list(acc.values())
+        if kind in ("b0", "b2"):  # one Heisenberg mode, family 0 or 2 by its residue
+            if arg < 0:
+                _check_room(sum(modes) - arg)
+                return 1, _interned((_pack(modes) + _mode_unit(-arg),)), [1]
+            k = modes.count(arg)
+            if not k:
+                return 1, (), []
+            rest = list(modes)
+            rest.remove(arg)
+            return 4, _interned((_pack(tuple(rest)),)), [GRAM_NORM[arg % 4] * arg * k]
+        if kind == "e1":
+            return 1, _interned((_pack(modes),)), [1]
+        if kind == "dT":
+            live = {leftover: afac for h4, afac, leftover in _annihilation_terms(modes, -1, -1) if h4 == arg}
+            return 1, _interned(live), list(live.values())
+        raise ValueError("unknown operator kind %r" % kind)
+
+    def _image_raw(self, kind: str, n4: int, mono: FockMonomial):
+        """Reference image of one monomial, (base, ((target monomial, weight),
+        ...)), the base carrying the kernel's denominator."""
+        modes, c = mono
+        arg, base, c2 = self._head(kind, n4, c)
+        den, targets, nums = self._kernel(kind, arg, modes)
+        return base.scale_frac(Fraction(1, den)), tuple(zip(map(_monomials(c2).__getitem__, targets), nums))
+
+    def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
+        """_image_raw of a vertex operator component."""
+        return self._image_raw(key, n4, mono)
+
+    def _accumulate(self, terms, images: Dict[tuple, tuple]):
+        """Sum of w * kind(n4) vec over terms (w, kind, n4, vec) as
+        Gaussian-integer numerators over one common denominator, nothing
+        reduced: ({target charge: ({packed target: re}, {packed target:
+        im})}, den).  Kernels are looked up in (or added to) images under
+        (kind, argument, modes)."""
         scaled = []
         den = 1
-        for mono, coeff in vec.terms.items():
-            key = (kind, n4, mono)
-            rec = images.get(key)
-            if rec is None:
-                rec = images[key] = _record(*self._image_raw(kind, n4, mono))
-            base, targets, nums = rec
-            if targets:
-                s = coeff * base
-                scaled.append((s, targets, nums))
-                den = lcm(den, s.d)
-        acc: Dict[FockMonomial, List[int]] = {}
-        for s, targets, nums in scaled:
-            w = den // s.d
-            a, b = s.a * w, s.b * w
-            for tgt, n in zip(targets, nums):
-                cur = acc.get(tgt)
-                if cur is None:
-                    acc[tgt] = [a * n, b * n]
-                else:
-                    cur[0] += a * n
-                    cur[1] += b * n
+        for w, kind, n4, vec in terms:
+            heads = {}
+            for (modes, c), coeff in vec.terms.items():
+                head = heads.get(c)
+                if head is None:
+                    arg, base, c2 = self._head(kind, n4, c)
+                    s = w * base
+                    head = heads[c] = (arg, s.a, s.b, s.d, c2)
+                arg, ha, hb, hd, c2 = head
+                key = (kind, arg, modes)
+                rec = images.get(key)
+                if rec is None:
+                    rec = images[key] = _record(*self._kernel(*key))
+                kden, targets, nums = rec
+                if targets:
+                    # coeff * head base over coeff.d * base.d * kden, unreduced
+                    ca, cb = coeff.a, coeff.b
+                    d = coeff.d * hd * kden
+                    scaled.append((ca * ha - cb * hb, ca * hb + cb * ha, d, c2, targets, nums))
+                    if den % d:
+                        den = lcm(den, d)
+        # real and imaginary parts in separate dicts: most scaled terms are
+        # purely real or purely imaginary, and a zero part costs no pass
+        accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+        for a, b, d, c2, targets, nums in scaled:
+            parts = accs.get(c2)
+            if parts is None:
+                parts = accs[c2] = ({}, {})
+            w = den // d
+            for x, acc in ((a, parts[0]), (b, parts[1])):
+                if x:
+                    x *= w
+                    get = acc.get
+                    for tgt, n in zip(targets, nums):
+                        acc[tgt] = get(tgt, 0) + x * n
+        return accs, den
+
+    def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
+        """Image of vec: the one-term accumulation, each surviving target
+        decoded and reduced once; targets that cancel are dropped."""
+        accs, den = self._accumulate(((ONE, kind, n4, vec),), images)
         out = FockVector()
-        out.terms = {tgt: _reduced(x, y, den) for tgt, (x, y) in acc.items() if x or y}
+        for c2, (re, im) in accs.items():
+            monos = _monomials(c2)
+            for tgt, x in re.items():
+                y = im.get(tgt, 0)
+                if x or y:
+                    out.terms[monos[tgt]] = _reduced(x, y, den)
+            for tgt, y in im.items():
+                if y and tgt not in re:
+                    out.terms[monos[tgt]] = _reduced(0, y, den)
         return out
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
@@ -564,14 +605,16 @@ def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
     both simple-vector components vanish at half-integer modes, coincide up
     to the mode-class sign at quarter modes, and the highest-vector
     component vanishes off integer modes.  Each relation is checked on the
-    images of the bucket's basis vectors, which are not kept."""
+    images of the bucket's basis vectors by integer zero tests, through one
+    image table for the sweep, freed when the suite returns."""
     rep = Report("linear-relations")
+    local = _LocalApplier(fock)
     for bucket in all_buckets(cutoff):
         c, l = bucket
         units = [FockVector.unit(mono) for mono in enumerate_bucket(*bucket)]
 
         def vanishes(key: str, n4: int) -> bool:
-            return all(img.is_zero() for img in fock.apply_batch(key, n4, units))
+            return all(local.vanishes([(ONE, key, n4, u)]) for u in units)
 
         for n4 in range(l - cutoff, l + 5):
             if n4 % 2 == 0:
@@ -587,8 +630,8 @@ def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
                     )
             else:
                 sign = component_sign(n4)
-                pairs = zip(fock.apply_batch("a1", n4, units), fock.apply_batch("a2", n4, units))
-                ok = all(img2 == img1.scale(GaussianRational(sign)) for img1, img2 in pairs)
+                minus_sign = GaussianRational(-sign)
+                ok = all(local.vanishes([(ONE, "a2", n4, u), (minus_sign, "a1", n4, u)]) for u in units)
                 rep.record(
                     ok, {"relation": "component-coincidence", "bucket": bucket, "n4": n4, "sign": sign}
                 )
@@ -613,11 +656,12 @@ def bracket_coeff(left: str, right: str, m4: int) -> GaussianRational:
 
 
 class _LocalApplier:
-    """Operator application for one verification sweep (one per sweep): raw
-    images live in a table local to the sweep, so the engine's cache does
+    """Operator application for one verification sweep (one per sweep): image
+    kernels live in a table local to the sweep, so the engine's cache does
     not grow with large mode ranges and everything is freed when the sweep
     returns.  Images k(n)*m of the current bucket's basis monomials are
-    remembered in units, which the sweep clears at each new bucket."""
+    remembered in units, which the sweep clears at each new bucket.  Zero
+    tests (vanishes) read the same table and reduce nothing."""
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
@@ -626,6 +670,12 @@ class _LocalApplier:
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply(kind, n4, vec, self.images)
+
+    def vanishes(self, terms) -> bool:
+        """Whether sum w * kind(n4) vec over terms (w, kind, n4, vec) is zero,
+        decided on the unreduced integer numerators."""
+        accs, _ = self.fock._accumulate(terms, self.images)
+        return not any(any(part.values()) for parts in accs.values() for part in parts)
 
     def unit_image(self, kind: str, n4: int, mono: FockMonomial) -> FockVector:
         key = (kind, n4, mono)
@@ -676,26 +726,27 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12, direct: 
     pair_types = [("a1", "a1")] + ([("a1", "a2"), ("a2", "a1"), ("a2", "a2")] if direct else [])
     local = _LocalApplier(fock)
     unit = local.unit_image
+    minus_one = GaussianRational(-1)
     for bucket in all_buckets(cutoff):
         c, l = bucket
         local.units.clear()
-        basis = enumerate_bucket(*bucket)
+        basis = [(mono, FockVector.unit(mono)) for mono in enumerate_bucket(*bucket)]
 
         def pair_ok(lk, m4, rk, n4, coeff) -> bool:
-            for mono in basis:
-                lhs = local.apply(lk, m4, unit(rk, n4, mono)) - local.apply(rk, n4, unit(lk, m4, mono))
-                rhs = unit("a12", m4 + n4, mono).scale(coeff)
-                if lhs != rhs:
+            # [lk(m4), rk(n4)] - coeff * a12(m4 + n4) on each basis vector
+            for mono, e in basis:
+                terms = [(ONE, lk, m4, unit(rk, n4, mono)), (minus_one, rk, n4, unit(lk, m4, mono))]
+                if coeff:
+                    terms.append((-coeff, "a12", m4 + n4, e))
+                if not local.vanishes(terms):
                     return False
             return True
 
         for n4 in odd:
             if l - n4 > cutoff:
                 continue
-            ok = all(
-                unit("a2", n4, mono) == unit("a1", n4, mono).scale(GaussianRational(component_sign(n4)))
-                for mono in basis
-            )
+            minus_sign = GaussianRational(-component_sign(n4))
+            ok = all(local.vanishes([(ONE, "a2", n4, e), (minus_sign, "a1", n4, e)]) for _, e in basis)
             rep.record(ok, {"bracket": ("component-coincidence", n4), "bucket": bucket})
         for left, right in pair_types:
             same = left == right
@@ -758,13 +809,13 @@ def check_quadratic_relations(
 
     def run_terms(basis, terms, fam, t4, bucket):
         for mono in basis:
-            total = FockVector()
-            for word_and_sign in terms:
-                for (lk, a4, rk, b4), weight in word_and_sign:
-                    piece = local.apply(lk, a4, local.unit_image(rk, b4, mono))
-                    total = total + piece.scale(weight)
+            combination = [
+                (weight, lk, a4, local.unit_image(rk, b4, mono))
+                for word_and_sign in terms
+                for (lk, a4, rk, b4), weight in word_and_sign
+            ]
             rep.record(
-                total.is_zero(),
+                local.vanishes(combination),
                 {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
             )
 

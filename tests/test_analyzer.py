@@ -111,12 +111,14 @@ def test_raising_constant(fock):
     assert solve_raising_constant(fock) == GaussianRational(2, 2)
 
 
-def test_determinism_across_parallelism(fock):
-    a = PrincipalSubspace(fock, 12, jobs=1)
-    b = PrincipalSubspace(fock, 12, jobs=2)
+def test_repeat_build_determinism(fock):
+    # a warm engine (the shared fixture) and a cold one build the same bases,
+    # down to the order of each vector's terms
+    a = PrincipalSubspace(fock, 12)
+    b = PrincipalSubspace(TwistedFock(), 12)
     assert a.dims() == b.dims()
     for key in a.bases:
-        assert [v.terms for v in a.bases[key]] == [v.terms for v in b.bases[key]]
+        assert [list(v.terms.items()) for v in a.bases[key]] == [list(v.terms.items()) for v in b.bases[key]]
 
 
 def test_graded_dimension_helper(fock):

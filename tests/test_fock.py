@@ -20,6 +20,7 @@ from a2twist.fock import (
     check_exchange_identity,
     check_linear_relations,
     check_quadratic_relations,
+    component_sign,
     enumerate_bucket,
     monomial_qweight,
     self_bracket_coeff,
@@ -384,14 +385,15 @@ def test_shared_denominator_kernel_matches_term_sum():
 
 def test_weights_beyond_64_bits_stay_exact(monkeypatch):
     fock = TwistedFock()
-    raw = fock._image_raw
+    kernel = fock._kernel
     wide = (-(2**63), 2**63, 2**63 + 1, -(2**64) - 3, 3 * 2**70)  # the first fits in 64 bits
 
-    def widened(kind, n4, mono):
-        base, items = raw(kind, n4, mono)
-        return base, tuple((tgt, n * wide[k % len(wide)]) for k, (tgt, n) in enumerate(items))
+    def widened(kind, arg, modes):
+        den, targets, nums = kernel(kind, arg, modes)
+        return den, targets, [n * wide[k % len(wide)] for k, n in enumerate(nums)]
 
-    monkeypatch.setattr(fock, "_image_raw", widened)
+    # the reference (_image_raw) reads the same widened kernel
+    monkeypatch.setattr(fock, "_kernel", widened)
     check_kernel_against_term_sum(fock)
     kinds = {type(nums) for _, targets, nums in fock._mono_cache.values() if targets}
     assert kinds == {array, tuple}  # a single -2**63 weight still fits the array
@@ -549,17 +551,17 @@ def test_relations_suite_keeps_no_images():
 
 
 def relations_with(monkeypatch, mutate):
-    """check_linear_relations(fock, 8) on an engine whose raw images pass
-    through mutate(kind, n4, mono, base, items)."""
+    """check_linear_relations(fock, 8) on an engine whose image heads pass
+    through mutate(kind, n4, arg, base, c2) -> (arg, base, c2)."""
     fock = TwistedFock()
-    raw = fock._image_raw
-    monkeypatch.setattr(fock, "_image_raw", lambda kind, n4, mono: mutate(kind, n4, mono, *raw(kind, n4, mono)))
+    head = fock._head
+    monkeypatch.setattr(fock, "_head", lambda kind, n4, c: mutate(kind, n4, *head(kind, n4, c)))
     return check_linear_relations(fock, 8)
 
 
 def test_relations_catch_a_flipped_coincidence_sign(monkeypatch):
-    def negate_a2(kind, n4, mono, base, items):
-        return (-base if kind == "a2" and n4 % 4 == 1 else base), items
+    def negate_a2(kind, n4, arg, base, c2):
+        return arg, (-base if kind == "a2" and n4 % 4 == 1 else base), c2
 
     rep = relations_with(monkeypatch, negate_a2)
     assert not rep.passed
@@ -568,8 +570,10 @@ def test_relations_catch_a_flipped_coincidence_sign(monkeypatch):
 
 
 def test_relations_catch_a_nonvanishing_half_integer_mode(monkeypatch):
-    def leak_a1(kind, n4, mono, base, items):
-        return (base, ((mono, 1),)) if kind == "a1" and n4 == -2 else (base, items)
+    # a1(-2) with its x-power a quarter off: the creating exponential then
+    # adds an even degree, so the image lands in a live bucket
+    def leak_a1(kind, n4, arg, base, c2):
+        return (arg + 1 if kind == "a1" and n4 == -2 else arg), base, c2
 
     rep = relations_with(monkeypatch, leak_a1)
     assert not rep.passed
@@ -635,21 +639,119 @@ def test_images_do_not_depend_on_charges_met_before():
         assert vertex_images(warm, charge) == vertex_images(TwistedFock(), charge), charge
 
 
+def random_vector(rng, monos):
+    """A vector on monos with mixed denominators and both parts nonzero."""
+    dens = (1, 2, 3, 4, 5, 7, 12)
+    return FockVector(
+        {
+            m: gr(Fraction(rng.randint(1, 9), rng.choice(dens)), Fraction(rng.randint(-9, -1), rng.choice(dens)))
+            for m in monos
+        }
+    )
+
+
+def reference_sum(fock, terms):
+    """sum w * kind(n4) vec, built from _image_raw one Q(i) product at a time."""
+    acc = {}
+    for w, kind, n4, vec in terms:
+        for tgt, c in reference_apply(fock, kind, n4, vec).items():
+            acc[tgt] = acc.get(tgt, GaussianRational()) + w * c
+    return {tgt: c for tgt, c in acc.items() if not c.is_zero()}
+
+
+def test_charge_free_table_matches_reference_across_charges():
+    fock = TwistedFock()
+    rng = random.Random(12)
+    table = {}
+    calls = 0
+    for bucket in all_buckets(12):
+        monos = enumerate_bucket(*bucket)
+        # an imaginary vector too: a12 carries a pure phase, so its images
+        # have purely real or purely imaginary coefficients
+        for vec in (random_vector(rng, monos), FockVector({m: gr(0, rng.randint(1, 9)) for m in monos})):
+            for kind in ("a1", "a2", "a12"):
+                for n4 in range(-12, 13):
+                    got = fock._apply(kind, n4, vec, table)
+                    assert got.terms == reference_apply(fock, kind, n4, vec), (bucket, kind, n4)
+                    calls += len(vec.terms)
+    assert len(table) < calls // 4  # records were shared across charges and vectors
+
+    # the integer zero test against build-subtract-compare, on zero and
+    # non-zero combinations
+    local = _LocalApplier(fock)
+    outcomes = set()
+    for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
+        monos = enumerate_bucket(*bucket)
+        v, v2 = random_vector(rng, monos), random_vector(rng, monos)
+        real = FockVector({m: gr(rng.randint(1, 9)) for m in monos})
+        for n4 in range(-7, 8, 2):
+            sign = component_sign(n4)
+            m4 = n4 - n4 % 4
+            for terms in (
+                [(ONE, "a2", n4, v), (gr(-sign), "a1", n4, v)],  # the coincidence relation: zero
+                [(ONE, "a2", n4, v), (gr(sign), "a1", n4, v)],
+                [(gr(2, 1), "a1", n4, v), (gr(-2, -1), "a1", n4, v)],
+                [(gr(1, 1), "a1", n4, v), (gr(Fraction(1, 3)), "a1", n4 + 2, v2)],
+                [(gr(0, 1), "a1", n4, v + v2), (gr(0, -1), "a1", n4, v), (gr(0, -1), "a1", n4, v2)],
+                [(ONE, "a12", m4, real)],
+                [(gr(0, 1), "a12", m4, real)],
+            ):
+                want = reference_sum(fock, terms)
+                built = FockVector()
+                for w, kind, k4, vec in terms:
+                    built = built + fock.apply(kind, k4, vec).scale(w)
+                assert built.terms == want
+                assert local.vanishes(terms) == (not want), (bucket, terms)
+                outcomes.add("zero" if not want else "imaginary" if all(c.a == 0 for c in want.values()) else "other")
+    assert outcomes == {"zero", "imaginary", "other"}
+
+    # a vector over two charges: its targets lie in charges 1 and 2
+    low, high = random_vector(rng, enumerate_bucket(0, 8)), random_vector(rng, enumerate_bucket(1, 9))
+    both = low + high
+    for n4 in (-5, -3, -1):
+        img = fock._apply("a1", n4, both, {})
+        assert img.terms == reference_apply(fock, "a1", n4, both)
+        assert {c for _, c in img.terms} == {1, 2}
+        assert local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, low), (gr(-1), "a1", n4, high)])
+        # what is left lies in one of the two charges only
+        assert not local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, low)])
+        assert not local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, high)])
+
+
 # --- fault injection: the reuse hides no mismatch -----------------------------
 
 
 def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
-    raw = TwistedFock._vertex_raw
+    kernel = TwistedFock._kernel
 
-    def mutant(self, key, n4, mono):
-        base, items = raw(self, key, n4, mono)
-        if key == "a12" and sum(mono[0]) >= 12:
-            items = tuple((tgt, 2 * n) for tgt, n in items)
-        return base, items
+    def mutant(self, kind, arg, modes):
+        den, targets, nums = kernel(self, kind, arg, modes)
+        if kind == "a12" and sum(modes) >= 12:
+            nums = [2 * n for n in nums]
+        return den, targets, nums
 
-    monkeypatch.setattr(TwistedFock, "_vertex_raw", mutant)
+    monkeypatch.setattr(TwistedFock, "_kernel", mutant)
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
     assert not check_quadratic_relations(TwistedFock(), 4, t4_max=12, max_intermediate=16).passed
+
+
+def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
+    # records keyed on (kind, n4, modes): the kernel of the charge met first
+    # is reused at every other charge with the same mode and modes
+    head, kernel = TwistedFock._head, TwistedFock._kernel
+    wants = {}
+
+    def keyed_on_n4(self, kind, n4, c):
+        want, base, c2 = head(self, kind, n4, c)
+        wants[kind, n4] = want
+        return n4, base, c2
+
+    def kernel_of_the_last_charge(self, kind, n4, modes):
+        return kernel(self, kind, wants[kind, n4], modes)
+
+    monkeypatch.setattr(TwistedFock, "_head", keyed_on_n4)
+    monkeypatch.setattr(TwistedFock, "_kernel", kernel_of_the_last_charge)
+    assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
 
 
 def test_odd_charge_phase_sign_fails_brackets(monkeypatch):
