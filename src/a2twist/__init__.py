@@ -4,7 +4,7 @@ the graded-dimension identities that subspace satisfies."""
 
 __version__ = "0.1.0"
 
-from .scalar import ExactMatrix, GaussianRational, QuarterInt, span_membership
+from .scalar import ExactMatrix, GaussianRational, QuarterInt
 from .fock import FockVector, TwistedFock, enumerate_bucket
 from .envelope import EnvElement, ModeGen, make_R0
 from .analyzer import GradedTable, PrincipalSubspace, graded_dimension, partition_oracle
@@ -13,7 +13,6 @@ __all__ = [
     "ExactMatrix",
     "GaussianRational",
     "QuarterInt",
-    "span_membership",
     "FockVector",
     "TwistedFock",
     "enumerate_bucket",

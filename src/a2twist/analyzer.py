@@ -90,12 +90,7 @@ class PrincipalSubspace:
         return out
 
     def _reduce_bucket(self, key: BucketKey) -> List[FockVector]:
-        basis = EchelonBasis()
-        kept = []
-        for cand in self._candidates(*key):
-            if basis.insert(cand.terms):
-                kept.append(cand)
-        return kept
+        return EchelonBasis().extend(self._candidates(*key))
 
     def _build(self) -> None:
         self.bases[(0, 0)] = [self.fock.vacuum()]
@@ -145,13 +140,8 @@ def check_recursion(table: GradedTable) -> Report:
     return rep
 
 
-def _rank_of(vectors: Iterable[FockVector]) -> int:
-    basis = EchelonBasis()
-    n = 0
-    for v in vectors:
-        if basis.insert(v.terms):
-            n += 1
-    return n
+def _rank_of(vectors: Iterable) -> int:
+    return len(EchelonBasis().extend(vectors))
 
 
 def check_exact_sequence(fock: TwistedFock, space: PrincipalSubspace, cutoff: int) -> Report:
@@ -171,13 +161,11 @@ def check_exact_sequence(fock: TwistedFock, space: PrincipalSubspace, cutoff: in
             ok_inj = _rank_of(e_images) == len(src)
             rep.record(ok_inj, {"bucket": (k, l), "condition": "injective"})
             mid_span = EchelonBasis()
-            for v in mid:
-                mid_span.insert(v.terms)
+            mid_span.extend(mid)
             ok_into = all(mid_span.contains(v.terms) for v in e_images)
             rep.record(ok_into, {"bucket": (k, l), "condition": "raising-lands-in-subspace"})
             tgt_span = EchelonBasis()
-            for v in tgt:
-                tgt_span.insert(v.terms)
+            tgt_span.extend(tgt)
             ok_to = all(tgt_span.contains(v.terms) for v in d_images)
             rep.record(ok_to, {"bucket": (k, l), "condition": "lowering-lands-in-subspace"})
             ok_surj = _rank_of(d_images) == len(tgt)
@@ -211,10 +199,7 @@ def check_presentation(
             if not monos and not bucket_exists(k, l):
                 continue
             span = slice_.bucket_span(k, l)
-            basis = EchelonBasis()
-            for elt in span:
-                basis.insert(elt.terms)
-            rank = len(basis)
+            rank = _rank_of(span)
             want = table.dim(k, l)
             rep.record(
                 len(monos) - rank == want,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockVector, Report, TwistedFock
-from .scalar import GaussianRational, ONE, QuarterInt, i_power
+from .scalar import GaussianRational, ONE, QuarterInt, SparseVector, i_power
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -92,17 +92,10 @@ def monomial_negative(mono: PBWMonomial) -> bool:
     return all(m < 0 for m in z) and all(n < 0 for n in u)
 
 
-class EnvElement:
+class EnvElement(SparseVector):
     """Finite Q(i)-combination of canonical PBW monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[PBWMonomial, GaussianRational]] = None):
-        self.terms: Dict[PBWMonomial, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[mono] = coeff
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "EnvElement":
@@ -113,35 +106,6 @@ class EnvElement:
         out = cls()
         out._accumulate_raw(tuple(sorted(zpart, reverse=True)), tuple(upart), coeff)
         return out
-
-    def add_term(self, mono: PBWMonomial, coeff: GaussianRational) -> None:
-        cur = self.terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = new
-
-    def __add__(self, other: "EnvElement") -> "EnvElement":
-        out = EnvElement(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out.add_term(mono, coeff)
-        return out
-
-    def __sub__(self, other: "EnvElement") -> "EnvElement":
-        out = EnvElement(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out.add_term(mono, -coeff)
-        return out
-
-    def scale(self, s) -> "EnvElement":
-        return EnvElement({m: c * s for m, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, EnvElement) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

@@ -30,7 +30,7 @@ from .lattice import (
     nu,
     project_lattice,
 )
-from .scalar import ExactMatrix, GaussianRational, ONE, QuarterInt, ZERO, _reduced, i_power
+from .scalar import ExactMatrix, GaussianRational, ONE, SparseVector, ZERO, _reduced, i_power
 
 FockMonomial = Tuple[Tuple[int, ...], int]  # (quanta sorted descending, coset charge)
 BucketKey = Tuple[int, int]  # (charge, quarter-weight)
@@ -43,52 +43,14 @@ def monomial_qweight(mono: FockMonomial) -> int:
     return sum(modes) + c * c
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Finite linear combination of Fock monomials with Q(i) coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[FockMonomial, GaussianRational]] = None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[mono] = coeff
+    __slots__ = ()
 
     @classmethod
     def unit(cls, mono: FockMonomial) -> "FockVector":
         return cls({mono: ONE})
-
-    def add_term(self, mono: FockMonomial, coeff: GaussianRational) -> None:
-        cur = self.terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = new
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = FockVector(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out.add_term(mono, coeff)
-        return out
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        out = FockVector(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out.add_term(mono, -coeff)
-        return out
-
-    def scale(self, s) -> "FockVector":
-        if isinstance(s, GaussianRational) and s.is_zero():
-            return FockVector()
-        return FockVector({m: c * s for m, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -353,7 +315,9 @@ class TwistedFock:
         self.tau = TauTable()
         self.coset = CosetModel(self.tau)
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
-        self._mono_cache: Dict[tuple, tuple] = {}  # image records by (kind, kernel argument, modes)
+        # image records by (kind, kernel argument, modes), and matrix()
+        # results; perfbench reads the len of both after each CLI call
+        self._mono_cache: Dict[tuple, tuple] = {}
         self._matrix_cache: Dict[tuple, ExactMatrix] = {}
         # (vertex key, source charge) -> (prefactor * coset phase, target charge)
         self._phases: Dict[Tuple[str, int], Tuple[GaussianRational, int]] = {}
@@ -431,14 +395,17 @@ class TwistedFock:
 
     def _image_raw(self, kind: str, n4: int, mono: FockMonomial):
         """Reference image of one monomial, (base, ((target monomial, weight),
-        ...)), the base carrying the kernel's denominator."""
+        ...)), the base carrying the kernel's denominator.  Nothing in the
+        package calls it: the tests compare every application path against
+        it, and perfbench hooks it (fock.images)."""
         modes, c = mono
         arg, base, c2 = self._head(kind, n4, c)
         den, targets, nums = self._kernel(kind, arg, modes)
         return base.scale_frac(Fraction(1, den)), tuple(zip(map(_monomials(c2).__getitem__, targets), nums))
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
-        """_image_raw of a vertex operator component."""
+        """_image_raw of a vertex operator component; the reference image the
+        tests and perfbench's vertex kernel microbenchmark call."""
         return self._image_raw(key, n4, mono)
 
     def _accumulate(self, terms, images: Dict[tuple, tuple]):
@@ -528,6 +495,10 @@ class TwistedFock:
         raise ValueError(kind)
 
     def matrix(self, kind: str, n4: int, src: BucketKey) -> ExactMatrix:
+        """The operator on one bucket, column j the image of its j-th
+        monomial, filled from apply_batch on unit vectors and kept in
+        _matrix_cache.  Only tests call it; perfbench hooks it and reads the
+        result's cols."""
         key = (kind, n4, src)
         hit = self._matrix_cache.get(key)
         if hit is not None:
@@ -536,32 +507,14 @@ class TwistedFock:
         tgt_monos = enumerate_bucket(*self.target_bucket(kind, n4, src))
         index = {m: i for i, m in enumerate(tgt_monos)}
         mat = ExactMatrix(len(tgt_monos), len(src_monos))
-        for j, mono in enumerate(src_monos):
-            base, items = self._image_raw(kind, n4, mono)
-            for image, n in items:
-                mat[index[image], j] = base.scale_frac(n)
+        for j, image in enumerate(self.apply_batch(kind, n4, [FockVector.unit(m) for m in src_monos])):
+            for mono, coeff in image.terms.items():
+                mat[index[mono], j] = coeff
         self._matrix_cache[key] = mat
         return mat
 
     def vacuum(self) -> FockVector:
         return FockVector.unit(VACUUM)
-
-    # -- typed convenience surface -------------------------------------------
-
-    def heis_act(self, beta: str, n: "QuarterInt", vec: FockVector) -> FockVector:
-        """Single twisted Heisenberg mode; beta is "b0" (integer modes) or
-        "b2" (half-odd modes), with the parity enforced."""
-        if beta == "b0" and not n.is_integer():
-            raise ValueError("fixed boson carries integer modes only")
-        if beta == "b2" and not n.is_half_odd():
-            raise ValueError("flipped boson carries half-odd modes only")
-        return self.apply(beta, n.q, vec)
-
-    def e_alpha1_op(self, src: BucketKey) -> ExactMatrix:
-        return self.matrix("e1", 0, src)
-
-    def deltaT_constant(self, src: BucketKey) -> ExactMatrix:
-        return self.matrix("dT", 0, src)
 
 
 # --- reporting ----------------------------------------------------------------

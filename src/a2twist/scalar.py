@@ -244,12 +244,52 @@ class QuarterInt:
 #
 # Vectors are dicts {coordinate_key: GaussianRational}; any hashable,
 # sortable key works (integers, monomial tuples).  All elimination is
-# plain Q(i) arithmetic, so every rank decision is exact.
+# plain Q(i) arithmetic in EchelonBasis, so every rank decision is exact.
 # ---------------------------------------------------------------------------
 
 
-def _entry_size(s: GaussianRational) -> int:
-    return s.a.bit_length() + s.b.bit_length() + s.d.bit_length()
+class SparseVector:
+    """Finite Q(i)-combination of hashable keys, held in the dict terms;
+    zero coefficients are never stored.  Vectors compare equal only when
+    they are of the same type and hold the same terms."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Mapping] = None):
+        self.terms = {}
+        if terms:
+            for key, coeff in terms.items():
+                if not coeff.is_zero():
+                    self.terms[key] = coeff
+
+    def add_term(self, key, coeff: GaussianRational) -> None:
+        cur = self.terms.get(key)
+        new = coeff if cur is None else cur + coeff
+        if new.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    def __add__(self, other):
+        out = type(self)(self.terms)
+        for key, coeff in other.terms.items():
+            out.add_term(key, coeff)
+        return out
+
+    def __sub__(self, other):
+        out = type(self)(self.terms)
+        for key, coeff in other.terms.items():
+            out.add_term(key, -coeff)
+        return out
+
+    def scale(self, s):
+        return type(self)({key: c * s for key, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
 
 
 class ExactMatrix:
@@ -264,9 +304,6 @@ class ExactMatrix:
         if entries:
             for pos, val in entries.items():
                 self[pos] = val
-
-    def __getitem__(self, pos):
-        return self.entries.get(pos, ZERO)
 
     def __setitem__(self, pos, val):
         val = _coerce(val)
@@ -286,19 +323,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        m = cls(n, n)
-        for j in range(n):
-            m[j, j] = ONE
-        return m
-
-    def transpose(self) -> "ExactMatrix":
-        t = ExactMatrix(self.cols, self.rows)
-        for (r, c), val in self.entries.items():
-            t[c, r] = val
-        return t
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -315,126 +339,18 @@ class ExactMatrix:
             out[key] = val
         return out
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = ExactMatrix(self.rows, self.cols, self.entries)
-        for pos, val in other.entries.items():
-            out[pos] = out[pos] - val
-        return out
-
     def scale(self, s) -> "ExactMatrix":
         out = ExactMatrix(self.rows, self.cols)
         for pos, val in self.entries.items():
             out[pos] = val * s
         return out
 
-    def _row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), val in self.entries.items():
-            rows[r][c] = val
-        return rows
-
-    def _eliminate(self):
-        """Row eliminate; returns (pivot list [(row, col)], reduced row dicts).
-
-        Pivot choice: smallest coefficient bit-size among active entries,
-        ties broken by lowest column then lowest row.  This keeps the
-        intermediate fractions from blowing up on the matrices we meet.
-        """
-        rows = self._row_dicts()
-        active = set(range(self.rows))
-        used_cols = set()
-        pivots = []
-        while True:
-            best = None
-            for r in active:
-                for c, val in rows[r].items():
-                    if c in used_cols:
-                        continue
-                    key = (_entry_size(val), c, r)
-                    if best is None or key < best[0]:
-                        best = (key, r, c)
-            if best is None:
-                break
-            _, pr, pc = best
-            pivots.append((pr, pc))
-            used_cols.add(pc)
-            active.discard(pr)
-            inv = rows[pr][pc].inverse()
-            for r in list(active):
-                factor = rows[r].get(pc)
-                if factor is None:
-                    continue
-                scale = factor * inv
-                row = rows[r]
-                for c, val in rows[pr].items():
-                    new = row.get(c, ZERO) - scale * val
-                    if new.is_zero():
-                        row.pop(c, None)
-                    else:
-                        row[c] = new
-        return pivots, rows
-
     def rank(self) -> int:
-        return len(self._eliminate()[0])
-
-    def kernel_basis(self):
-        """Exact basis of the right kernel, as dicts {col: value}."""
-        pivots, rows = self._eliminate()
-        pivot_cols = {c: r for r, c in pivots}
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        # Back substitution per free column on the echelon rows.
-        ordered = sorted(pivots, key=lambda rc: rc[1])
-        basis = []
-        for fc in free_cols:
-            vec = {fc: ONE}
-            for pr, pc in reversed(ordered):
-                row = rows[pr]
-                s = ZERO
-                for c, val in row.items():
-                    if c == pc:
-                        continue
-                    coeff = vec.get(c)
-                    if coeff is not None:
-                        s = s + val * coeff
-                if not s.is_zero():
-                    vec[pc] = -s / row[pc]
-            basis.append(vec)
-        return basis
-
-    def apply(self, vec: Mapping[int, GaussianRational]):
-        out = {}
+        """The number of columns an EchelonBasis keeps."""
+        columns = [SparseVector() for _ in range(self.cols)]
         for (r, c), val in self.entries.items():
-            x = vec.get(c)
-            if x is not None:
-                out[r] = out.get(r, ZERO) + val * x
-        return {r: v for r, v in out.items() if not v.is_zero()}
-
-
-def span_membership(vec, basis):
-    """Decompose vec over basis exactly.
-
-    vec and the basis elements are dicts {key: GaussianRational} over any
-    common key set.  Returns the coefficient list, or None when vec is
-    not in the span.
-    """
-    keys = set(vec)
-    for b in basis:
-        keys.update(b)
-    index = {k: i for i, k in enumerate(sorted(keys))}
-    m = ExactMatrix(len(index), len(basis) + 1)
-    for j, b in enumerate(basis):
-        for k, val in b.items():
-            m[index[k], j] = val
-    for k, val in vec.items():
-        m[index[k], len(basis)] = val
-    for ker in m.kernel_basis():
-        last = ker.get(len(basis), ZERO)
-        if not last.is_zero():
-            scale = -last.inverse()
-            return [ker.get(j, ZERO) * scale for j in range(len(basis))]
-    if not vec:
-        return [ZERO] * len(basis)
-    return None
+            columns[c].terms[r] = val
+        return len(EchelonBasis().extend(columns))
 
 
 class EchelonBasis:
@@ -474,6 +390,11 @@ class EchelonBasis:
         inv = vec[lead].inverse()
         self._rows[lead] = {k: v * inv for k, v in vec.items()}
         return True
+
+    def extend(self, vectors) -> list:
+        """Insert the terms of each vector in turn; returns the vectors that
+        enlarged the span, in order."""
+        return [v for v in vectors if self.insert(v.terms)]
 
     def contains(self, vec) -> bool:
         reduced, lead = self.reduce(vec)

@@ -28,7 +28,7 @@ from a2twist.fock import (
 )
 from a2twist.groups import HAT_LNU, CosetModel, section
 from a2twist.lattice import ALPHA1, THETA, gram
-from a2twist.scalar import GaussianRational, ONE, QuarterInt, i_power
+from a2twist.scalar import GaussianRational, ONE, i_power
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +78,13 @@ def test_sigma_values():
 
 def test_heisenberg_contractions(fock):
     vac = fock.vacuum()
-    up = fock.heis_act("b0", QuarterInt(-4), vac)
-    assert fock.heis_act("b0", QuarterInt(4), up) == vac.scale(gr(2))
-    up2 = fock.heis_act("b2", QuarterInt(-2), vac)
-    assert fock.heis_act("b2", QuarterInt(2), up2) == vac.scale(gr(3))
-    assert fock.heis_act("b0", QuarterInt(4), vac).is_zero()
+    up = fock.apply("b0", -4, vac)
+    assert fock.apply("b0", 4, up) == vac.scale(gr(2))
+    up2 = fock.apply("b2", -2, vac)
+    assert fock.apply("b2", 2, up2) == vac.scale(gr(3))
+    assert fock.apply("b0", 4, vac).is_zero()
     with pytest.raises(ValueError):
-        fock.heis_act("b0", QuarterInt(-2), vac)
+        fock.apply("b0", -2, vac)
 
 
 def test_heisenberg_commutators_as_matrices(fock):
@@ -200,7 +200,7 @@ def test_raising_operator(fock):
     assert fock.apply("a1", -1, vac).scale(gr(4) * sigma_factor(ALPHA1).inverse()) == coset1
     # injectivity on whole buckets
     for bucket in all_buckets(8):
-        m = fock.e_alpha1_op(bucket)
+        m = fock.matrix("e1", 0, bucket)
         assert m.rank() == len(enumerate_bucket(*bucket))
 
 
@@ -212,9 +212,9 @@ def test_raising_intertwines_components(fock):
                 if key == "a12" and m4 % 4:
                     continue
                 b1 = fock.target_bucket(key, m4, bucket)
-                lhs = fock.e_alpha1_op(b1) * fock.matrix(key, m4, bucket)
+                lhs = fock.matrix("e1", 0, b1) * fock.matrix(key, m4, bucket)
                 b2 = fock.target_bucket("e1", 0, bucket)
-                rhs = (fock.matrix(key, m4 - shift, b2) * fock.e_alpha1_op(bucket)).scale(c_factor)
+                rhs = (fock.matrix(key, m4 - shift, b2) * fock.matrix("e1", 0, bucket)).scale(c_factor)
                 assert lhs == rhs
 
 
@@ -232,7 +232,7 @@ def test_lowering_operator(fock):
         c, l = bucket
         tgt = fock.target_bucket("dT", 0, bucket)
         if c >= 0 and bucket_exists(*tgt):
-            m = fock.deltaT_constant(bucket)
+            m = fock.matrix("dT", 0, bucket)
             assert m.rank() == len(enumerate_bucket(*tgt))
 
 
@@ -340,9 +340,22 @@ def reference_apply(fock, kind, n4, vec):
     return {tgt: c for tgt, c in acc.items() if not c.is_zero()}
 
 
+def matrix_apply(fock, kind, n4, vec):
+    """The image of a one-bucket vector as its combination of matrix columns."""
+    (src,) = vec.buckets()
+    src_monos = enumerate_bucket(*src)
+    tgt_monos = enumerate_bucket(*fock.target_bucket(kind, n4, src))
+    out = FockVector()
+    for (r, j), val in fock.matrix(kind, n4, src).entries.items():
+        coeff = vec.terms.get(src_monos[j])
+        if coeff is not None:
+            out.add_term(tgt_monos[r], val * coeff)
+    return out
+
+
 def all_paths(fock, kind, n4, vectors):
-    """The image of each vector through apply (cold and cached), apply_batch
-    and _LocalApplier.apply."""
+    """The image of each vector through apply (cold and cached), apply_batch,
+    _LocalApplier.apply and the columns of matrix."""
     local = _LocalApplier(fock)
     cold = [fock.apply(kind, n4, v) for v in vectors]
     return {
@@ -350,6 +363,7 @@ def all_paths(fock, kind, n4, vectors):
         "apply-cached": [fock.apply(kind, n4, v) for v in vectors],
         "apply_batch": fock.apply_batch(kind, n4, vectors),
         "local": [local.apply(kind, n4, v) for v in vectors],
+        "matrix": [matrix_apply(fock, kind, n4, v) for v in vectors],
     }
 
 

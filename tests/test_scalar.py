@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from a2twist.envelope import EnvElement
+from a2twist.fock import FockVector
 from a2twist.scalar import (
     EchelonBasis,
     ExactMatrix,
@@ -11,9 +13,9 @@ from a2twist.scalar import (
     I,
     ONE,
     QuarterInt,
+    SparseVector,
     ZERO,
     i_power,
-    span_membership,
 )
 
 
@@ -73,11 +75,18 @@ def test_quarter_int_arithmetic():
         QuarterInt.of(Fraction(1, 3))
 
 
+def transposed(m):
+    return ExactMatrix(m.cols, m.rows, {(c, r): val for (r, c), val in m.entries.items()})
+
+
 def test_rank_examples():
-    assert ExactMatrix.identity(3).rank() == 3
+    identity = ExactMatrix(3, 3, {(j, j): ONE for j in range(3)})
+    assert identity.rank() == 3
     assert ExactMatrix(4, 5).rank() == 0
     m = ExactMatrix(2, 2, {(0, 0): ONE, (0, 1): I, (1, 0): I, (1, 1): GaussianRational(-1)})
     assert m.rank() == 1
+    wide = ExactMatrix(2, 4, {(0, 1): ONE, (0, 3): I, (1, 3): GaussianRational(2)})
+    assert wide.rank() == transposed(wide).rank() == 2
 
 
 def rand_sparse(rng, rows, cols, density=0.3):
@@ -95,21 +104,33 @@ def test_rank_transpose_and_nullity():
     for rows, cols in sizes:
         m = rand_sparse(rng, rows, cols, density=0.15)
         r = m.rank()
-        assert r == m.transpose().rank()
-        kernel = m.kernel_basis()
-        assert r + len(kernel) == cols
-        for vec in kernel:
-            assert not m.apply(vec)
+        assert r == transposed(m).rank()
+        assert r <= min(rows, cols)
+    # a product through k dimensions with an identity block in each factor
+    # has rank exactly k
+    for rows, k, cols in ((6, 3, 5), (12, 7, 9), (20, 1, 20)):
+        left, right = rand_sparse(rng, rows, k), rand_sparse(rng, k, cols)
+        for j in range(k):
+            left[j, j] = ONE
+            right[j, j] = ONE
+            for c in range(k):
+                if c != j:
+                    left[j, c] = ZERO
+                    right[c, j] = ZERO
+        prod = left * right
+        assert prod.rank() == transposed(prod).rank() == k
 
 
 def test_span_membership():
     b1 = {0: ONE, 1: GaussianRational(2)}
     b2 = {1: ONE, 2: GaussianRational(-1)}
-    v = {0: ONE, 1: GaussianRational(3), 2: GaussianRational(-1)}
-    coeffs = span_membership(v, [b1, b2])
-    assert coeffs == [ONE, ONE]
-    assert span_membership({0: I, 1: GaussianRational(0, 2)}, [b1, b2]) == [I, ZERO]
-    assert span_membership({3: ONE}, [b1, b2]) is None
+    span = EchelonBasis()
+    assert span.insert(b1) and span.insert(b2)
+    assert span.contains({0: ONE, 1: GaussianRational(3), 2: GaussianRational(-1)})  # b1 + b2
+    assert span.contains({0: I, 1: GaussianRational(0, 2)})  # i * b1
+    assert span.contains({})
+    assert not span.contains({3: ONE})
+    assert not span.contains({0: ONE, 1: GaussianRational(3)})
 
 
 def test_echelon_basis_incremental():
@@ -119,6 +140,20 @@ def test_echelon_basis_incremental():
     assert not basis.insert({0: GaussianRational(2), 1: GaussianRational(5)})
     assert basis.contains({0: I, 1: I})
     assert not basis.contains({2: ONE})
+
+
+def test_sparse_vector_arithmetic():
+    u = SparseVector({0: ONE, 1: I, 2: ZERO})
+    v = SparseVector({1: -I, 3: GaussianRational(2)})
+    assert u.terms == {0: ONE, 1: I}  # zero coefficients are not stored
+    assert (u + v).terms == {0: ONE, 3: GaussianRational(2)}
+    assert (u - u).is_zero() and u.scale(ZERO).is_zero()
+    assert u - v == u + v.scale(-1)
+    # results keep the operands' type, and equality is type-strict
+    terms = {((), ()): ONE}
+    f, e = FockVector(terms), EnvElement(terms)
+    assert type(f + f) is type(f.scale(I)) is FockVector and type(e - e) is EnvElement
+    assert f != e and f == FockVector(terms) and e == EnvElement(terms)
 
 
 # --- the integer-triple representation against a Fraction-pair reference ---
