@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import functools
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
@@ -172,8 +174,9 @@ def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
 # merge is preceded by _check_room on the merged mode sum, which raises
 # rather than let a multiplicity carry into the next digit.  Kernel targets
 # are interned (one shared int per multiset) and decoded, at the edge,
-# through an intern table; both hold one entry per distinct multiset met, so
-# the cutoff bounds them (at most 915 multisets at qweight 32).
+# through an intern table, and _convolve reads a leftover's weight from a
+# third table; each holds one entry per distinct multiset met, so the cutoff
+# bounds them (at most 915 multisets at qweight 32).
 
 _DIGIT_BITS = 8
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
@@ -248,6 +251,18 @@ def _monomials(charge: int) -> _MonomialTable:
     return table
 
 
+class _Weights(dict):
+    """Packed multiset -> total quarter-weight of its quanta, computed on
+    first lookup."""
+
+    def __missing__(self, packed: int) -> int:
+        weight = self[packed] = sum(_unpack(packed))
+        return weight
+
+
+_WEIGHTS = _Weights()
+
+
 def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int) -> List[Tuple[int, int, int]]:
     """Expand an annihilating exponential against a monomial.
 
@@ -271,6 +286,14 @@ def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int) -> List[Tuple[
         steps = [(j * q, comb(k, j) * f**j, j * unit) for j in range(k + 1)]
         terms = [(h4 + dh, fac * df, left - dl) for h4, fac, left in terms for dh, df, dl in steps]
     return terms
+
+
+def _expansion(modes: Tuple[int, ...], f0: int, f2: int) -> Tuple[tuple, tuple, tuple]:
+    """_annihilation_terms sorted by degree, highest first, as three tuples:
+    the negated degrees (ascending, for bisect), the packed leftovers and
+    the factors."""
+    h4s, facs, lefts = zip(*sorted(_annihilation_terms(modes, f0, f2), key=itemgetter(0), reverse=True))
+    return tuple(-h4 for h4 in h4s), lefts, facs
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,16 +330,34 @@ def _record(den: int, targets: tuple, nums) -> tuple:
         return den, targets, tuple(nums)
 
 
+def _decoded(accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]], den: int) -> FockVector:
+    """The vector of accumulated numerators ({target charge: ({packed target:
+    re}, {packed target: im})}, den): each surviving target decoded and
+    reduced once, targets that cancel dropped."""
+    out = FockVector()
+    for c2, (re, im) in accs.items():
+        monos = _monomials(c2)
+        for tgt, x in re.items():
+            y = im.get(tgt, 0)
+            if x or y:
+                out.terms[monos[tgt]] = _reduced(x, y, den)
+        for tgt, y in im.items():
+            if y and tgt not in re:
+                out.terms[monos[tgt]] = _reduced(0, y, den)
+    return out
+
+
 class TwistedFock:
-    """Operator engine for the twisted module; image kernels cached by
-    (operator, kernel argument, modes), shared across charges."""
+    """Operator engine for the twisted module."""
 
     def __init__(self):
         self.tau = TauTable()
         self.coset = CosetModel(self.tau)
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
-        # image records by (kind, kernel argument, modes), and matrix()
-        # results; perfbench reads the len of both after each CLI call
+        # what apply keeps across calls: annihilation expansions of the
+        # vertex kinds by (kind, modes), records of the other kinds by (kind,
+        # kernel argument, modes); and matrix() results.  perfbench reads
+        # the len of both after each CLI call
         self._mono_cache: Dict[tuple, tuple] = {}
         self._matrix_cache: Dict[tuple, ExactMatrix] = {}
         # (vertex key, source charge) -> (prefactor * coset phase, target charge)
@@ -332,6 +373,18 @@ class TwistedFock:
     # operator the argument is the quarter-degree the creating exponential
     # must add beyond what the annihilating one removes, so one kernel
     # serves every charge whose mode and x-power give the same degree.
+    #
+    # There are two ways to apply a vertex component to a vector.  The
+    # verification sweeps (_LocalApplier) sum per-monomial records
+    # (_accumulate): their table outlives each call and each record is read
+    # again and again (about 20 times over the relation and bracket sweeps
+    # at cutoff 16).  apply and apply_batch annihilate, merge and create
+    # once per call (_convolve): the leftovers of all the vector's monomials
+    # meet before the creating exponential, and only the annihilation
+    # expansions are kept (dims at cutoff 32 reads each about 3 times).
+    # Records where the table outlives the call and is re-read,
+    # factorization where it is not.  e1, dT, b0 and b2 have one-monomial
+    # records only.
 
     def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
         data = self.vertex.get(kind)
@@ -453,30 +506,101 @@ class TwistedFock:
                         acc[tgt] = get(tgt, 0) + x * n
         return accs, den
 
+    def _convolve(self, kind: str, n4: int, vec: FockVector, expansions: Dict[tuple, tuple]):
+        """A vertex component applied to the whole of vec, in the shape
+        _accumulate returns.  Each source monomial is annihilated once; the
+        leftovers of all its monomials, scaled by their heads, are merged
+        as Gaussian-integer numerators per (target charge, target mode
+        sum), where a leftover's own weight fixes the degree the creating
+        exponential must add; each leftover is then convolved once with the
+        creating exponential of that degree.  Annihilation expansions are
+        looked up in (or added to) expansions under (kind, modes)."""
+        data = self.vertex[kind]
+        f0, f2 = data.f0, data.f2
+        heads = {}
+        sources = []
+        den = 1
+        for (modes, c), coeff in vec.terms.items():
+            head = heads.get(c)
+            if head is None:
+                arg, base, c2 = self._head(kind, n4, c)
+                head = heads[c] = (arg, base.a, base.b, base.d, c2)
+            arg, ha, hb, hd, c2 = head
+            total = sum(modes) + arg  # the mode sum of every target
+            _check_room(total)
+            if total < 0:
+                continue
+            ca, cb = coeff.a, coeff.b
+            d = coeff.d * hd
+            sources.append((ca * ha - cb * hb, ca * hb + cb * ha, d, arg, (c2, total), modes))
+            if den % d:
+                den = lcm(den, d)
+        # leftovers over den, real and imaginary parts apart
+        merged: Dict[Tuple[int, int], Tuple[Dict[int, int], Dict[int, int]]] = {}
+        for a, b, d, arg, group, modes in sources:
+            key = (kind, modes)
+            expansion = expansions.get(key)
+            if expansion is None:
+                expansion = expansions[key] = _expansion(modes, -f0, -f2)
+            negs, lefts, facs = expansion
+            k = bisect_right(negs, arg)  # lower degrees leave the creating exponential nothing to add
+            if not k:
+                continue
+            if k < len(negs):
+                lefts, facs = lefts[:k], facs[:k]
+            parts = merged.get(group)
+            if parts is None:
+                parts = merged[group] = ({}, {})
+            w = den // d
+            for x, acc in ((a, parts[0]), (b, parts[1])):
+                if x:
+                    x *= w
+                    get = acc.get
+                    for left, fac in zip(lefts, facs):
+                        acc[left] = get(left, 0) + x * fac
+        weights = _WEIGHTS
+        created = {
+            g4: _creation_terms(f0, f2, g4)
+            for (_, total), parts in merged.items()
+            for g4 in {total - weights[left] for part in parts for left in part}
+        }
+        cden = lcm(*(gden for gden, _ in created.values()))
+        accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+        for (c2, total), parts in merged.items():
+            outs = accs.get(c2)
+            if outs is None:
+                outs = accs[c2] = ({}, {})
+            for src, acc in zip(parts, outs):
+                get = acc.get
+                for left, x in src.items():
+                    if x:
+                        gden, terms = created[total - weights[left]]
+                        x *= cden // gden
+                        for made, num in terms:
+                            tgt = left + made
+                            acc[tgt] = get(tgt, 0) + x * num
+        return accs, den * cden
+
     def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
-        """Image of vec: the one-term accumulation, each surviving target
-        decoded and reduced once; targets that cancel are dropped."""
-        accs, den = self._accumulate(((ONE, kind, n4, vec),), images)
-        out = FockVector()
-        for c2, (re, im) in accs.items():
-            monos = _monomials(c2)
-            for tgt, x in re.items():
-                y = im.get(tgt, 0)
-                if x or y:
-                    out.terms[monos[tgt]] = _reduced(x, y, den)
-            for tgt, y in im.items():
-                if y and tgt not in re:
-                    out.terms[monos[tgt]] = _reduced(0, y, den)
-        return out
+        """Image of vec through per-monomial records kept in images."""
+        return _decoded(*self._accumulate(((ONE, kind, n4, vec),), images))
+
+    def _apply_whole(self, kind: str, n4: int, vec: FockVector, table: Dict[tuple, tuple]) -> FockVector:
+        """Image of vec for apply and apply_batch: vertex components by
+        _convolve over the annihilation expansions in table, the other kinds
+        through their records in table."""
+        if kind in self.vertex:
+            return _decoded(*self._convolve(kind, n4, vec, table))
+        return self._apply(kind, n4, vec, table)
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
-        return self._apply(kind, n4, vec, self._mono_cache)
+        return self._apply_whole(kind, n4, vec, self._mono_cache)
 
     def apply_batch(self, kind: str, n4: int, vectors: Sequence[FockVector]) -> List[FockVector]:
         """Apply one operator to many vectors sharing a bucket, with a local
-        image table (nothing retained afterwards)."""
+        table (nothing retained afterwards)."""
         local: Dict[tuple, tuple] = {}
-        return [self._apply(kind, n4, vec, local) for vec in vectors]
+        return [self._apply_whole(kind, n4, vec, local) for vec in vectors]
 
     # -- operator metadata ---------------------------------------------------
 

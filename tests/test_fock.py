@@ -7,6 +7,7 @@ from math import comb, factorial, isqrt, lcm
 
 import pytest
 
+import a2twist.fock as fock_module
 from a2twist.fock import (
     GRAM_NORM,
     FockVector,
@@ -341,22 +342,24 @@ def reference_apply(fock, kind, n4, vec):
 
 
 def matrix_apply(fock, kind, n4, vec):
-    """The image of a one-bucket vector as its combination of matrix columns."""
-    (src,) = vec.buckets()
-    src_monos = enumerate_bucket(*src)
-    tgt_monos = enumerate_bucket(*fock.target_bucket(kind, n4, src))
+    """The image of a vector as its combination of matrix columns, bucket by
+    bucket."""
     out = FockVector()
-    for (r, j), val in fock.matrix(kind, n4, src).entries.items():
-        coeff = vec.terms.get(src_monos[j])
-        if coeff is not None:
-            out.add_term(tgt_monos[r], val * coeff)
+    for src in sorted(vec.buckets()):
+        src_monos = enumerate_bucket(*src)
+        tgt_monos = enumerate_bucket(*fock.target_bucket(kind, n4, src))
+        for (r, j), val in fock.matrix(kind, n4, src).entries.items():
+            coeff = vec.terms.get(src_monos[j])
+            if coeff is not None:
+                out.add_term(tgt_monos[r], val * coeff)
     return out
 
 
-def all_paths(fock, kind, n4, vectors):
+def all_paths(fock, kind, n4, vectors, local=None):
     """The image of each vector through apply (cold and cached), apply_batch,
-    _LocalApplier.apply and the columns of matrix."""
-    local = _LocalApplier(fock)
+    _LocalApplier.apply (a fresh one unless local is given) and the columns
+    of matrix."""
+    local = local or _LocalApplier(fock)
     cold = [fock.apply(kind, n4, v) for v in vectors]
     return {
         "apply": cold,
@@ -369,7 +372,9 @@ def all_paths(fock, kind, n4, vectors):
 
 def check_kernel_against_term_sum(fock):
     """Every application path against reference_apply on seeded random
-    vectors with mixed denominators, over KERNEL_OPS."""
+    vectors with mixed denominators, over KERNEL_OPS; returns the
+    _LocalApplier whose records served the local path."""
+    local = _LocalApplier(fock)
     rng = random.Random(5)
     dens = (1, 2, 3, 4, 5, 7, 12)
     for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
@@ -384,33 +389,38 @@ def check_kernel_against_term_sum(fock):
         assert len({c.d for v in vectors for c in v.terms.values()}) > 1  # mixed denominators
         for kind, n4 in KERNEL_OPS:
             want = [reference_apply(fock, kind, n4, v) for v in vectors]
-            for path, got in all_paths(fock, kind, n4, vectors).items():
+            for path, got in all_paths(fock, kind, n4, vectors, local).items():
                 assert [g.terms for g in got] == want, (path, bucket, kind, n4)
+    return local
 
 
 def test_shared_denominator_kernel_matches_term_sum():
     fock = TwistedFock()
-    check_kernel_against_term_sum(fock)
-    # stored records hold their weights as one 64-bit array each
-    records = [rec for rec in fock._mono_cache.values() if rec[1]]
+    local = check_kernel_against_term_sum(fock)
+    # a sweep's stored records hold their weights as one 64-bit array each
+    records = [rec for rec in local.images.values() if rec[1]]
     assert len(records) > 100
     assert all(type(nums) is array and nums.typecode == "q" for _, _, nums in records)
 
 
 def test_weights_beyond_64_bits_stay_exact(monkeypatch):
-    fock = TwistedFock()
-    kernel = fock._kernel
+    created = fock_module._creation_terms
     wide = (-(2**63), 2**63, 2**63 + 1, -(2**64) - 3, 3 * 2**70)  # the first fits in 64 bits
 
-    def widened(kind, arg, modes):
-        den, targets, nums = kernel(kind, arg, modes)
-        return den, targets, [n * wide[k % len(wide)] for k, n in enumerate(nums)]
+    def widened(f0, f2, g4):
+        den, terms = created(f0, f2, g4)
+        return den, tuple((parts, n * wide[k % len(wide)]) for k, (parts, n) in enumerate(terms))
 
-    # the reference (_image_raw) reads the same widened kernel
-    monkeypatch.setattr(fock, "_kernel", widened)
-    check_kernel_against_term_sum(fock)
-    kinds = {type(nums) for _, targets, nums in fock._mono_cache.values() if targets}
+    # the records, the factorized path and the reference (_image_raw) all
+    # read the same widened creation numerators
+    monkeypatch.setattr(fock_module, "_creation_terms", widened)
+    fock = TwistedFock()
+    local = check_kernel_against_term_sum(fock)
+    kinds = {type(nums) for _, targets, nums in local.images.values() if targets}
     assert kinds == {array, tuple}  # a single -2**63 weight still fits the array
+    # apply carries the wide numerators into its coefficients
+    img = fock.apply("a1", -7, FockVector.unit(enumerate_bucket(1, 9)[0]))
+    assert max(max(abs(c.a), abs(c.b), c.d).bit_length() for c in img.terms.values()) > 64
 
 
 def test_shared_denominator_kernel_drops_cancelled_targets():
@@ -438,6 +448,45 @@ def test_shared_denominator_kernel_drops_cancelled_targets():
     for path, (got,) in all_paths(fock, kind, n4, [vec]).items():
         assert tgt not in got.terms, path
         assert got.terms == want, path
+
+
+def test_merged_leftovers_add_only_within_one_degree_and_charge():
+    # apply, apply_batch and matrix annihilate each monomial of a vector,
+    # merge the leftovers per (target charge, degree) and create once per
+    # degree; these vectors make that merge add terms, and keep apart the
+    # same leftover at two degrees or two charges
+    fock = TwistedFock()
+    data = fock.vertex["a1"]
+
+    def leftovers_at(modes, h4):
+        negs, lefts, _ = fock_module._expansion(modes, -data.f0, -data.f2)
+        return {left for neg, left in zip(negs, lefts) if neg == -h4}
+
+    two = _pack((2,))
+    # (2,) is left by (4, 2) and (2, 2, 2) at degree 4, by (2, 2) at degree 2
+    assert two in leftovers_at((4, 2), 4) and two in leftovers_at((2, 2, 2), 4)
+    assert two in leftovers_at((2, 2), 2)
+    third, fifth, seventh = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
+    vectors = [
+        # one degree: the two leftovers' terms add (imaginary, mixed denominators)
+        FockVector({((4, 2), 0): gr(0, third), ((2, 2, 2), 0): gr(0, -5 * seventh)}),
+        FockVector({((4, 2), 0): gr(third, 2), ((2, 2, 2), 0): gr(-1, fifth), ((6,), 0): gr(0, 1)}),
+        # two degrees: the same leftover must not merge
+        FockVector({((4, 2), 0): gr(0, 2 * third), ((2, 2), 0): gr(0, -fifth)}),
+        FockVector({((4, 2), 0): gr(seventh), ((2, 2), 0): gr(0, fifth), ((2,), 0): gr(3, -third)}),
+        # two charges: the same leftover lands in two target charges
+        FockVector({((4, 2), 0): gr(0, fifth), ((4, 2), 1): gr(0, -third), ((2, 2), 1): gr(0, seventh)}),
+        FockVector({((4, 2), 0): gr(2, fifth), ((2, 2, 2), 0): gr(0, 1), ((4, 2), -1): gr(-seventh, third)}),
+    ]
+    assert {c.d for v in vectors for c in v.terms.values()} >= {3, 5, 7}
+    for kind in ("a1", "a2", "a12"):
+        for n4 in range(-9, 6):
+            want = [reference_apply(fock, kind, n4, v) for v in vectors]
+            for path, got in all_paths(fock, kind, n4, vectors).items():
+                assert [g.terms for g in got] == want, (path, kind, n4)
+    # the same-degree merge does add: both monomials reach a common target
+    alone = [reference_apply(fock, "a1", -3, FockVector({m: c})) for m, c in vectors[0].terms.items()]
+    assert set(alone[0]) & set(alone[1])
 
 
 # --- packed mode multisets ----------------------------------------------------
@@ -482,6 +531,27 @@ def test_multiplicity_256_raises(fock):
     assert fock._image_raw("b2", -2, ((2,) * 254, 0))[1] == ((((2,) * 255, 0), 1),)
     with pytest.raises(OverflowError):
         fock._image_raw("b2", -2, ((2,) * 255, 0))
+
+
+def test_multiplicity_guard_stops_apply(monkeypatch):
+    # apply checks the mode sum of a vector's targets before it packs any.
+    # a12 contracts no 2-quanta, so these images stay one term each; the
+    # guard, not a pack inside an exponential, must refuse them
+    fock = TwistedFock()
+    assert fock.vertex["a12"].f2 == 0
+    assert fock._head("a12", -6, 0)[0] == 2 and fock._head("a12", -8, 0)[0] == 4
+    # the narrower room the command-line test sets: targets of mode sum 8
+    with monkeypatch.context() as patched:
+        patched.setattr(fock_module, "_MODE_SUM_LIMIT", 8)
+        with pytest.raises(OverflowError):
+            fock.apply("a12", -6, FockVector.unit(((2, 2, 2), 0)))
+    # the real room: targets of mode sum 514, whose 2-quanta could repeat 256 times
+    deep = FockVector.unit(((2,) * 255, 0))
+    with pytest.raises(OverflowError):
+        fock.apply("a12", -8, deep)
+    with pytest.raises(OverflowError):
+        fock.apply_batch("a12", -8, [FockVector.unit(((2,), 0)), deep])
+    assert fock._mono_cache == {}  # refused before any annihilation
 
 
 def reference_image(fock, kind, n4, mono):
