@@ -75,18 +75,25 @@ class PrincipalSubspace:
         self.fock = fock
         self.cutoff = cutoff
         self.bases: Dict[BucketKey, List[FockVector]] = {}
+        # annihilation expansions of the sources of one charge level, read
+        # by every bucket of that level and replaced at the next
+        self._level: Optional[int] = None
+        self._expansions: Dict[tuple, tuple] = {}
         self._build()
 
     def _candidates(self, k: int, l: int) -> List[FockVector]:
+        if k != self._level:
+            self._level, self._expansions = k, {}
+        table = self._expansions
         out = []
         for a4 in range(1, l + 1, 2):
             src = self.bases.get((k - 1, l - a4))
             if src:
-                out.extend(v for v in self.fock.apply_batch("a1", -a4, src) if not v.is_zero())
+                out.extend(v for v in self.fock.apply_batch("a1", -a4, src, table) if not v.is_zero())
         for b4 in range(4, l + 1, 4):
             src = self.bases.get((k - 2, l - b4))
             if src:
-                out.extend(v for v in self.fock.apply_batch("a12", -b4, src) if not v.is_zero())
+                out.extend(v for v in self.fock.apply_batch("a12", -b4, src, table) if not v.is_zero())
         return out
 
     def _reduce_bucket(self, key: BucketKey) -> List[FockVector]:
@@ -101,6 +108,7 @@ class PrincipalSubspace:
                     res = self._reduce_bucket((k, l))
                     if res:
                         self.bases[(k, l)] = res
+        self._level, self._expansions = None, {}
 
     def dims(self) -> Dict[BucketKey, int]:
         return {key: len(b) for key, b in self.bases.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm
 from operator import itemgetter
@@ -289,11 +289,10 @@ def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int) -> List[Tuple[
 
 
 def _expansion(modes: Tuple[int, ...], f0: int, f2: int) -> Tuple[tuple, tuple, tuple]:
-    """_annihilation_terms sorted by degree, highest first, as three tuples:
-    the negated degrees (ascending, for bisect), the packed leftovers and
-    the factors."""
-    h4s, facs, lefts = zip(*sorted(_annihilation_terms(modes, f0, f2), key=itemgetter(0), reverse=True))
-    return tuple(-h4 for h4 in h4s), lefts, facs
+    """_annihilation_terms sorted by degree, lowest first, as three tuples:
+    the degrees, the packed leftovers (interned) and the factors."""
+    h4s, facs, lefts = zip(*sorted(_annihilation_terms(modes, f0, f2), key=itemgetter(0)))
+    return h4s, _interned(lefts), facs
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,7 +380,9 @@ class TwistedFock:
     # at cutoff 16).  apply and apply_batch annihilate, merge and create
     # once per call (_convolve): the leftovers of all the vector's monomials
     # meet before the creating exponential, and only the annihilation
-    # expansions are kept (dims at cutoff 32 reads each about 3 times).
+    # expansions are kept, in a table the caller may hold across batches
+    # (dims keeps one per charge level: at cutoff 32 it builds 2 041
+    # expansions and reads each about 9 times).
     # Records where the table outlives the call and is re-read,
     # factorization where it is not.  e1, dT, b0 and b2 have one-monomial
     # records only.
@@ -542,12 +543,12 @@ class TwistedFock:
             expansion = expansions.get(key)
             if expansion is None:
                 expansion = expansions[key] = _expansion(modes, -f0, -f2)
-            negs, lefts, facs = expansion
-            k = bisect_right(negs, arg)  # lower degrees leave the creating exponential nothing to add
-            if not k:
+            h4s, lefts, facs = expansion
+            k = bisect_left(h4s, -arg)  # lower degrees leave the creating exponential nothing to add
+            if k == len(h4s):
                 continue
-            if k < len(negs):
-                lefts, facs = lefts[:k], facs[:k]
+            if k:
+                lefts, facs = lefts[k:], facs[k:]
             parts = merged.get(group)
             if parts is None:
                 parts = merged[group] = ({}, {})
@@ -596,11 +597,15 @@ class TwistedFock:
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self._apply_whole(kind, n4, vec, self._mono_cache)
 
-    def apply_batch(self, kind: str, n4: int, vectors: Sequence[FockVector]) -> List[FockVector]:
-        """Apply one operator to many vectors sharing a bucket, with a local
-        table (nothing retained afterwards)."""
-        local: Dict[tuple, tuple] = {}
-        return [self._apply_whole(kind, n4, vec, local) for vec in vectors]
+    def apply_batch(
+        self, kind: str, n4: int, vectors: Sequence[FockVector], table: Optional[Dict[tuple, tuple]] = None
+    ) -> List[FockVector]:
+        """Apply one operator to many vectors, its expansions or records
+        kept in table: one the caller holds across batches, or by default a
+        table of this call's own (nothing retained afterwards)."""
+        if table is None:
+            table = {}
+        return [self._apply_whole(kind, n4, vec, table) for vec in vectors]
 
     # -- operator metadata ---------------------------------------------------
 

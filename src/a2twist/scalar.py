@@ -7,7 +7,7 @@ runs on these types; no floating point exists anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 
@@ -22,8 +22,8 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        re = re if isinstance(re, Fraction) else Fraction(re)
-        im = im if isinstance(im, Fraction) else Fraction(im)
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError("Q(i) parts must be ints or Fractions, not %r and %r" % (re, im))
         # over the lcm of two reduced denominators the triple is already reduced
         p, q = re.denominator, im.denominator
         d = p * q // gcd(p, q)
@@ -242,9 +242,11 @@ class QuarterInt:
 # ---------------------------------------------------------------------------
 # Sparse exact linear algebra.
 #
-# Vectors are dicts {coordinate_key: GaussianRational}; any hashable,
-# sortable key works (integers, monomial tuples).  All elimination is
-# plain Q(i) arithmetic in EchelonBasis, so every rank decision is exact.
+# Vectors are dicts {coordinate_key: GaussianRational}; any hashable key
+# works (integers, monomial tuples).  EchelonBasis clears each vector's
+# denominators once and eliminates over the Gaussian integers, with no
+# fraction formed and only exact integer gcds dividing out common content,
+# so every rank decision is exact.
 # ---------------------------------------------------------------------------
 
 
@@ -354,41 +356,112 @@ class ExactMatrix:
 
 
 class EchelonBasis:
-    """Incremental echelon span over arbitrary sortable coordinate keys.
+    """Incremental echelon span over Q(i), computed fraction-free over Z[i].
 
-    Used for per-bucket rank growth: insert() reduces against the stored
-    rows and either absorbs the vector (returns False) or keeps its
-    reduced form as a new pivot row (returns True).
+    insert() takes a dict {coordinate key: GaussianRational}, clears its
+    denominators once and reduces the resulting Gaussian-integer vector
+    against the stored rows: it either absorbs the vector (returns False)
+    or keeps its reduced form as a new pivot row (returns True).  Keys are
+    numbered in the order the basis first meets them, and the pivot of a
+    vector is its lowest-numbered coordinate; the span, and so every
+    decision, does not depend on that order.
+
+    A row is primitive (rational content 1) with a positive rational-integer
+    lead n, reached by multiplying by the conjugate of the lead; its real
+    and imaginary parts sit in separate dicts, so a zero part costs
+    nothing.  Eliminating a vector's lead v against a row is
+    vec <- n*vec - v*row, n and v first divided by gcd(n, v); a step that
+    scales vec is followed by dividing out vec's content, which keeps the
+    integers from compounding along a reduction.  Fraction-free in the sense
+    of Bareiss (Math. Comp. 1968), with primitive rows in place of his
+    exact division by the previous pivot.
     """
 
     def __init__(self):
-        self._rows = {}  # lead key -> row dict with lead coefficient 1
+        self._index = {}  # coordinate key -> column number
+        self._rows = {}  # lead column -> (n, re, im), lead column left out
 
     def __len__(self):
         return len(self._rows)
 
-    def reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            row = self._rows.get(lead)
+    def _integral(self, vec):
+        """vec over its common denominator, as (re, im) dicts by column."""
+        index = self._index
+        den = lcm(*[c.d for c in vec.values()])
+        re, im = {}, {}
+        for key, c in vec.items():
+            col = index.get(key)
+            if col is None:
+                col = index[key] = len(index)
+            w = den // c.d
+            if c.a:
+                re[col] = c.a * w
+            if c.b:
+                im[col] = c.b * w
+        return re, im
+
+    def _reduce(self, re, im):
+        """Reduce (re, im) in place; the lead column left when no row has
+        it, None when the vector reduces to zero."""
+        rows = self._rows
+        while re or im:
+            lead = min(re) if re else min(im)
+            if im:
+                low = min(im)
+                if low < lead:
+                    lead = low
+            row = rows.get(lead)
             if row is None:
-                return vec, lead
-            coeff = vec[lead]
-            for k, val in row.items():
-                new = vec.get(k, ZERO) - coeff * val
-                if new.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = new
-        return vec, None
+                return lead
+            n, rre, rim = row
+            va, vb = re.pop(lead, 0), im.pop(lead, 0)
+            g = gcd(n, va, vb)
+            if g != 1:
+                n, va, vb = n // g, va // g, vb // g
+            if n != 1:
+                for k in re:
+                    re[k] *= n
+                for k in im:
+                    im[k] *= n
+            # vec -= (va + vb*i) * (rre + rim*i), part by part
+            for src, dst, x in ((rre, re, va), (rim, im, va), (rre, im, vb), (rim, re, -vb)):
+                if x:
+                    get = dst.get
+                    for k, r in src.items():
+                        y = get(k, 0) - x * r
+                        if y:
+                            dst[k] = y
+                        else:
+                            del dst[k]
+            if n != 1:
+                g = gcd(*re.values(), *im.values())
+                if g > 1:
+                    for k in re:
+                        re[k] //= g
+                    for k in im:
+                        im[k] //= g
+        return None
 
     def insert(self, vec) -> bool:
-        vec, lead = self.reduce(vec)
+        re, im = self._integral(vec)
+        lead = self._reduce(re, im)
         if lead is None:
             return False
-        inv = vec[lead].inverse()
-        self._rows[lead] = {k: v * inv for k, v in vec.items()}
+        a, b = re.pop(lead, 0), im.pop(lead, 0)
+        if b or a < 0:
+            # times the conjugate of the lead, which becomes a*a + b*b
+            cols = re.keys() | im.keys()
+            re, im = (
+                {k: x for k in cols if (x := a * re.get(k, 0) + b * im.get(k, 0))},
+                {k: x for k in cols if (x := a * im.get(k, 0) - b * re.get(k, 0))},
+            )
+            a = a * a + b * b
+        g = gcd(a, *re.values(), *im.values())
+        if g > 1:
+            a //= g
+            re = {k: x // g for k, x in re.items()}
+            im = {k: x // g for k, x in im.items()}
+        self._rows[lead] = (a, re, im)
         return True
 
     def extend(self, vectors) -> list:
@@ -397,5 +470,4 @@ class EchelonBasis:
         return [v for v in vectors if self.insert(v.terms)]
 
     def contains(self, vec) -> bool:
-        reduced, lead = self.reduce(vec)
-        return lead is None
+        return self._reduce(*self._integral(vec)) is None

@@ -121,6 +121,27 @@ def test_repeat_build_determinism(fock):
         assert [list(v.terms.items()) for v in a.bases[key]] == [list(v.terms.items()) for v in b.bases[key]]
 
 
+def test_candidates_after_the_build_match_a_fresh_build():
+    # the per-level expansion table is dropped when the build ends, and
+    # _candidates still serves buckets of any level afterwards (the
+    # benchmark's echelon kernel asks a table built to 20 for bucket (3, 21))
+    seen = {}
+
+    class Recording(PrincipalSubspace):
+        def _candidates(self, k, l):
+            out = seen[(k, l)] = super()._candidates(k, l)
+            return out
+
+    Recording(TwistedFock(), 13)
+    fock = TwistedFock()
+    built = PrincipalSubspace(fock, 12)
+    assert built._expansions == {} and fock._mono_cache == {}
+    for key in ((3, 13), (2, 12), (3, 11), (1, 13), (3, 13), (2, 8)):
+        got = [list(v.terms.items()) for v in built._candidates(*key)]
+        assert got == [list(v.terms.items()) for v in seen[key]], key
+    assert fock._mono_cache == {}
+
+
 def test_graded_dimension_helper(fock):
     table = graded_dimension(fock, 8)
     assert table.dim(2, 6) == 1

@@ -459,8 +459,8 @@ def test_merged_leftovers_add_only_within_one_degree_and_charge():
     data = fock.vertex["a1"]
 
     def leftovers_at(modes, h4):
-        negs, lefts, _ = fock_module._expansion(modes, -data.f0, -data.f2)
-        return {left for neg, left in zip(negs, lefts) if neg == -h4}
+        h4s, lefts, _ = fock_module._expansion(modes, -data.f0, -data.f2)
+        return {left for h, left in zip(h4s, lefts) if h == h4}
 
     two = _pack((2,))
     # (2,) is left by (4, 2) and (2, 2, 2) at degree 4, by (2, 2) at degree 2

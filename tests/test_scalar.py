@@ -315,3 +315,184 @@ def test_inverse_of_zero_all_routes():
             zero ** -1
         with pytest.raises(ZeroDivisionError):
             1 / zero
+
+
+def test_floats_rejected():
+    # 0.1 would otherwise enter as 3602879701896397/36028797018963968
+    for bad in (0.1, 1.0, float("inf")):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+        with pytest.raises(TypeError):
+            ONE + bad
+        with pytest.raises(TypeError):
+            ONE * bad
+    assert GaussianRational(True) == ONE  # bool is an int
+
+
+# --- the fraction-free echelon against Q(i) elimination ---
+
+
+class QiEchelon:
+    """Reference elimination over Q(i): rows scaled to lead 1, the pivot at
+    the least key, every step GaussianRational arithmetic, with no integer
+    clearing, content division or column numbering to get wrong."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                return vec, lead
+            coeff = vec[lead]
+            for k, val in row.items():
+                new = vec.get(k, ZERO) - coeff * val
+                if new.is_zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = new
+        return vec, None
+
+    def insert(self, vec):
+        vec, lead = self.reduce(vec)
+        if lead is None:
+            return False
+        inv = vec[lead].inverse()
+        self.rows[lead] = {k: v * inv for k, v in vec.items()}
+        return True
+
+    def contains(self, vec):
+        return self.reduce(vec)[1] is None
+
+
+def combine(pairs):
+    """sum of c * v over (c, v), zero terms dropped."""
+    out = {}
+    for c, v in pairs:
+        for k, x in v.items():
+            out[k] = out.get(k, ZERO) + c * x
+    return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def assert_same_decisions(vectors, probes):
+    """insert, len, contains, extend and ExactMatrix.rank agree with the
+    Q(i) reference on vectors inserted in turn, then on probes."""
+    ref, basis = QiEchelon(), EchelonBasis()
+    kept = []
+    for v in vectors:
+        want = ref.insert(v)
+        assert basis.insert(v) == want
+        assert len(basis) == len(ref)
+        if want:
+            kept.append(v)
+    for p in probes:
+        assert basis.contains(p) == ref.contains(p)
+    wrapped = [SparseVector(v) for v in vectors]
+    assert [v.terms for v in EchelonBasis().extend(wrapped)] == kept
+    keys = sorted({k for v in vectors for k in v})
+    row = {k: r for r, k in enumerate(keys)}
+    m = ExactMatrix(len(keys), len(vectors), {(row[k], c): x for c, v in enumerate(vectors) for k, x in v.items()})
+    assert m.rank() == len(ref)
+    return basis
+
+
+def test_echelon_gaussian_leads_match_reference():
+    rng = random.Random(1601)
+    for trial in range(30):
+        cols = rng.randint(2, 9)
+
+        def coeff():
+            # both parts nonzero, so every lead is off the real axis
+            return GaussianRational(
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4)),
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4)),
+            )
+
+        base = [{c: coeff() for c in rng.sample(range(cols), rng.randint(1, cols))} for _ in range(rng.randint(1, cols))]
+        mixed = [combine([(coeff(), v) for v in rng.sample(base, rng.randint(1, len(base)))]) for _ in range(4)]
+        vectors = base + mixed
+        rng.shuffle(vectors)
+        probes = mixed + [{c: coeff()} for c in range(cols + 1)]
+        assert_same_decisions(vectors, probes)
+
+
+def test_echelon_denominators_beyond_64_bits_match_reference():
+    rng = random.Random(1602)
+    dens = (2 ** 64 + 13, 2 ** 89 - 1, 3 ** 50, 2 ** 127 - 1)
+
+    def coeff():
+        return GaussianRational(
+            Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.choice(dens)),
+            Fraction(rng.randint(-5, 5), rng.choice(dens + (1,))),
+        )
+
+    for trial in range(10):
+        keys = [(rng.randint(0, 3), rng.randint(0, 30)) for _ in range(6)]
+        base = [{k: coeff() for k in rng.sample(keys, 3)} for _ in range(4)]
+        mixed = [combine([(coeff(), v) for v in base]) for _ in range(3)]
+        vectors = base + mixed
+        basis = assert_same_decisions(vectors, mixed + [{k: coeff()} for k in keys])
+        assert len(basis) <= 4
+
+
+def test_echelon_multiples_of_small_primes_match_reference():
+    # combinations whose coefficients are multiples of p, and vectors that
+    # leave the span only by p times a vector outside it: a rank taken mod p
+    # gets either wrong
+    rng = random.Random(1603)
+    primes = (2, 3, 5, 7, 13, 2 ** 31 - 1, 2 ** 61 - 1)
+    for p in primes + (GaussianRational(2, 1),):
+        for trial in range(4):
+            cols = 6
+            base = [{c: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for c in range(cols)} for _ in range(3)]
+            base = [{c: x for c, x in v.items() if not x.is_zero()} for v in base]
+            outside = {cols - 1: ONE, 0: GaussianRational(rng.randint(1, 3))}
+            dependent = combine([(p * rng.randint(1, 4), base[0]), (p * rng.randint(-4, -1), base[1])])
+            lifted = combine([(ONE, base[2]), (p, outside)])
+            scaled = combine([(p, base[0]), (ONE, base[1]), (p * p, base[2])])
+            vectors = base + [dependent, scaled, lifted, combine([(ONE, lifted), (-p, outside)])]
+            probes = [dependent, scaled, outside, combine([(ONE, base[0]), (p, outside)])]
+            assert_same_decisions(vectors, probes)
+    # determinant p: rank 2 over Q(i), 1 mod p
+    for p in primes:
+        assert_same_decisions([{0: ONE, 1: ONE}, {0: ONE, 1: GaussianRational(1 + p)}], [{1: ONE}])
+
+
+def test_echelon_content_division_keeps_a_long_chain_small(monkeypatch):
+    # 40 dependent combinations of 40 random Gaussian-integer rows: the
+    # reductions scale the vector again and again, and only dividing out its
+    # content keeps it near the size of the rows (about 160 bits; about
+    # 1700 bits without)
+    rng = random.Random(1604)
+    rows = [
+        {c: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for c in rng.sample(range(60), 8)}
+        for _ in range(40)
+    ]
+    rows = [{c: x for c, x in v.items() if not x.is_zero()} for v in rows]
+    mixed = [
+        combine([(GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)), v) for v in rng.sample(rows, 5)])
+        for _ in range(40)
+    ]
+    widest = [0]
+    reduce = EchelonBasis._reduce
+
+    def watched(self, re, im):
+        lead = reduce(self, re, im)
+        widest[0] = max([widest[0]] + [abs(x).bit_length() for x in (*re.values(), *im.values())])
+        return lead
+
+    monkeypatch.setattr(EchelonBasis, "_reduce", watched)
+    basis = assert_same_decisions(rows + mixed, mixed)
+    stored = max(abs(x).bit_length() for n, re, im in basis._rows.values() for x in (n, *re.values(), *im.values()))
+    assert widest[0] <= 2 * stored < 512
+    # every row is primitive with a positive rational-integer lead
+    for n, re, im in basis._rows.values():
+        assert n > 0 and math.gcd(n, *re.values(), *im.values()) == 1
