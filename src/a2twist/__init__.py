@@ -4,7 +4,7 @@ the graded-dimension identities that subspace satisfies."""
 
 __version__ = "0.1.0"
 
-from .scalar import ExactMatrix, GaussianRational, QuarterInt
+from .scalar import ExactMatrix, GaussianRational
 from .fock import FockVector, TwistedFock, enumerate_bucket
 from .envelope import EnvElement, ModeGen, make_R0
 from .analyzer import GradedTable, PrincipalSubspace, graded_dimension, partition_oracle
@@ -12,7 +12,6 @@ from .analyzer import GradedTable, PrincipalSubspace, graded_dimension, partitio
 __all__ = [
     "ExactMatrix",
     "GaussianRational",
-    "QuarterInt",
     "FockVector",
     "TwistedFock",
     "enumerate_bucket",

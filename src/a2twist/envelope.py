@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockVector, Report, TwistedFock
-from .scalar import GaussianRational, ONE, QuarterInt, SparseVector, i_power
+from .scalar import GaussianRational, ONE, SparseVector, i_power
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -30,19 +30,19 @@ ONE_MONO: PBWMonomial = ((), ())
 
 class ModeGen(NamedTuple):
     label: str  # "u" or "z"
-    n: QuarterInt
+    n4: int  # mode index in quarter units
 
     @classmethod
     def u(cls, n4: int) -> "ModeGen":
         if n4 % 2 == 0:
             raise ValueError("u modes live on quarter-odd indices")
-        return cls("u", QuarterInt(n4))
+        return cls("u", n4)
 
     @classmethod
     def z(cls, n4: int) -> "ModeGen":
         if n4 % 4:
             raise ValueError("z modes live on integer indices")
-        return cls("z", QuarterInt(n4))
+        return cls("z", n4)
 
 
 def _u_sort_key(n4: int):
@@ -71,10 +71,10 @@ def bracket(a: "ModeGen", b: "ModeGen") -> "EnvElement":
     sum is integral."""
     if a.label == "z" or b.label == "z":
         return EnvElement()
-    coeff = bracket_uu_coeff(a.n.q, b.n.q)
+    coeff = bracket_uu_coeff(a.n4, b.n4)
     if coeff is None:
         return EnvElement()
-    return EnvElement.monomial([a.n.q + b.n.q], [], GaussianRational(coeff))
+    return EnvElement.monomial([a.n4 + b.n4], [], GaussianRational(coeff))
 
 
 def monomial_charge(mono: PBWMonomial) -> int:
@@ -142,16 +142,16 @@ class EnvElement(SparseVector):
         out = EnvElement()
         for (z, u), coeff in self.terms.items():
             if gen.label == "z":
-                out._accumulate_raw(z + (gen.n.q,), u, coeff)
+                out._accumulate_raw(z + (gen.n4,), u, coeff)
             else:
-                out._accumulate_raw(z, u + (gen.n.q,), coeff)
+                out._accumulate_raw(z, u + (gen.n4,), coeff)
         return out
 
     def left_mul_gen(self, gen: ModeGen) -> "EnvElement":
         """gen times self, in closed form on canonical terms."""
         if gen.label == "z":
-            return self._left_mul_z(gen.n.q)
-        return self._left_mul_u(gen.n.q)
+            return self._left_mul_z(gen.n4)
+        return self._left_mul_u(gen.n4)
 
     def _left_mul_z(self, m4: int) -> "EnvElement":
         out = EnvElement()
@@ -318,35 +318,20 @@ def generator_list(max_qweight4: int) -> List[Tuple[str, int, EnvElement]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _u_weight_multisets(total4: int, count: int, max4: int) -> Tuple[Tuple[int, ...], ...]:
-    """Multisets of count odd positive quarter-weights summing to total4,
-    descending, each <= max4."""
+def _weight_multisets(step: int, total4: int, count: int, max4: int) -> Tuple[Tuple[int, ...], ...]:
+    """Multisets of count positive quarter-weights summing to total4,
+    descending, each <= max4: odd weights (step 2, u modes) or multiples of
+    4 (step 4, z modes)."""
     if count == 0:
         return ((),) if total4 == 0 else ()
+    least = 1 if step == 2 else step  # the smallest weight allowed
     out = []
-    top = min(max4, total4 - (count - 1))
-    if top % 2 == 0:
-        top -= 1
-    w = top
-    while w >= 1:
-        for rest in _u_weight_multisets(total4 - w, count - 1, w):
+    w = min(max4, total4 - least * (count - 1))
+    w -= (w - least) % step
+    while w >= least:
+        for rest in _weight_multisets(step, total4 - w, count - 1, w):
             out.append((w,) + rest)
-        w -= 2
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _z_weight_multisets(total4: int, count: int, max4: int) -> Tuple[Tuple[int, ...], ...]:
-    if count == 0:
-        return ((),) if total4 == 0 else ()
-    out = []
-    top = min(max4, total4 - 4 * (count - 1))
-    top -= top % 4
-    w = top
-    while w >= 4:
-        for rest in _z_weight_multisets(total4 - w, count - 1, w):
-            out.append((w,) + rest)
-        w -= 4
+        w -= step
     return tuple(out)
 
 
@@ -357,9 +342,9 @@ def pbw_monomials(charge: int, qweight4: int) -> List[PBWMonomial]:
         s = charge - 2 * r
         for zq in range(0, qweight4 + 1):
             uq = qweight4 - zq
-            for zw in _z_weight_multisets(zq, r, zq if zq else 4):
+            for zw in _weight_multisets(4, zq, r, zq if zq else 4):
                 zpart = tuple(sorted((-w for w in zw), reverse=True))
-                for uw in _u_weight_multisets(uq, s, uq if uq else 1):
+                for uw in _weight_multisets(2, uq, s, uq if uq else 1):
                     out.append((zpart, u_canonical([-w for w in uw])))
     return sorted(out)
 

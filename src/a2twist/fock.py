@@ -21,17 +21,7 @@ from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
-from .lattice import (
-    ALPHA1,
-    ALPHA2,
-    THETA,
-    LatticeVector,
-    RationalHVector,
-    gram,
-    gram_q,
-    nu,
-    project_lattice,
-)
+from .lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, nu, project_lattice
 from .scalar import ExactMatrix, GaussianRational, ONE, SparseVector, ZERO, _reduced, i_power
 
 FockMonomial = Tuple[Tuple[int, ...], int]  # (quanta sorted descending, coset charge)
@@ -145,24 +135,16 @@ def _vertex_data(vec: LatticeVector) -> VertexData:
     norm = gram(vec, vec)
     pref = (GaussianRational(4) ** (-(norm // 2))) * sigma_factor(vec)
     # diagonal x-exponent on charge c: <P0 v, c a1> + <P0 v, P0 v>/2 - <v, v>/2
-    const4 = 4 * (gram_q(p0, p0) / 2 - Fraction(norm, 2))
-    slope4 = 4 * gram_q(p0, RationalHVector.of(ALPHA1))
-    if const4.denominator != 1 or slope4.denominator != 1:
-        raise AssertionError("diagonal degree not a quarter integer")
-    f0, f2 = _contraction_factors(p0.m, p2.m)
-    return VertexData(vec, gram(THETA, vec), p0.m, p2.m, f0, f2, pref, int(const4), int(slope4))
+    const4 = 4 * (gram(p0, p0) / 2 - Fraction(norm, 2))
+    slope4 = 4 * gram(p0, ALPHA1)
+    # per-quantum contraction factors kappa * <beta, beta> of the two families
+    f0, f2 = p0.m * GRAM_NORM[0], p2.m * GRAM_NORM[2]
+    if any(x.denominator != 1 for x in (const4, slope4, f0, f2)):
+        raise AssertionError("diagonal degree or contraction factor not integral")
+    return VertexData(vec, gram(THETA, vec), p0.m, p2.m, int(f0), int(f2), pref, int(const4), int(slope4))
 
 
 VERTEX_VECS = {"a1": ALPHA1, "a2": ALPHA2, "a12": THETA}
-
-
-def _contraction_factors(kappa0: Fraction, kappa2: Fraction) -> Tuple[int, int]:
-    """Per-quantum contraction factors kappa * <beta, beta> of the two boson
-    families; integers for every lattice vector in use."""
-    f0, f2 = kappa0 * GRAM_NORM[0], kappa2 * GRAM_NORM[2]
-    if f0.denominator != 1 or f2.denominator != 1:
-        raise AssertionError("contraction factor not integral")
-    return f0.numerator, f2.numerator
 
 
 # --- packed mode multisets ----------------------------------------------------
@@ -320,6 +302,30 @@ def _creation_terms(f0: int, f2: int, g4: int) -> Tuple[int, Tuple[Tuple[int, in
     return den, tuple((parts, coeff.numerator * (den // coeff.denominator)) for parts, coeff in out)
 
 
+def _create(f0: int, f2: int, groups: list) -> Tuple[dict, int]:
+    """The creating exponential of contraction factors f0, f2 applied to
+    leftovers with Gaussian-integer numerators, given as groups (target
+    charge, 0 for real or 1 for imaginary parts, [(degree to add, packed
+    leftover, numerator), ...]): ({target charge: ({packed target: re},
+    {packed target: im})}, the denominator creation adds)."""
+    created = {g4: _creation_terms(f0, f2, g4) for _, _, items in groups for g4, _, _ in items}
+    cden = lcm(*(gden for gden, _ in created.values()))
+    accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+    for c2, part, items in groups:
+        outs = accs.get(c2)
+        if outs is None:
+            outs = accs[c2] = ({}, {})
+        acc = outs[part]
+        get = acc.get
+        for g4, left, x in items:
+            gden, terms = created[g4]
+            x *= cden // gden
+            for made, num in terms:
+                tgt = left + made
+                acc[tgt] = get(tgt, 0) + x * num
+    return accs, cden
+
+
 def _record(den: int, targets: tuple, nums) -> tuple:
     """A kernel as image tables store it: (den, targets, numerators), the
     numerators one signed 64-bit array, or exact ints where one does not fit."""
@@ -412,21 +418,11 @@ class TwistedFock:
     def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...]) -> Tuple[int, tuple, list]:
         data = self.vertex.get(kind)
         if data is not None:
-            f0, f2 = data.f0, data.f2
             _check_room(sum(modes) + arg)  # the mode sum of every target
-            terms = []
-            for h4, afac, leftover in _annihilation_terms(modes, -f0, -f2):
-                if arg + h4 >= 0:
-                    terms.append((afac, leftover, _creation_terms(f0, f2, arg + h4)))
-            # integer numerators per packed target over one denominator
-            den = lcm(*(created[0] for _, _, created in terms))
-            acc: Dict[int, int] = {}
-            get = acc.get
-            for afac, leftover, (cden, created) in terms:
-                w = afac * (den // cden)
-                for parts, num in created:
-                    tgt = leftover + parts
-                    acc[tgt] = get(tgt, 0) + w * num
+            terms = _annihilation_terms(modes, -data.f0, -data.f2)
+            lefts = [(arg + h4, left, afac) for h4, afac, left in terms if arg + h4 >= 0]
+            accs, den = _create(data.f0, data.f2, [(0, 0, lefts)])
+            acc = accs[0][0]
             if not all(acc.values()):
                 acc = {tgt: n for tgt, n in acc.items() if n}
             return den, _interned(acc), list(acc.values())
@@ -559,27 +555,13 @@ class TwistedFock:
                     get = acc.get
                     for left, fac in zip(lefts, facs):
                         acc[left] = get(left, 0) + x * fac
-        weights = _WEIGHTS
-        created = {
-            g4: _creation_terms(f0, f2, g4)
-            for (_, total), parts in merged.items()
-            for g4 in {total - weights[left] for part in parts for left in part}
-        }
-        cden = lcm(*(gden for gden, _ in created.values()))
-        accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        for (c2, total), parts in merged.items():
-            outs = accs.get(c2)
-            if outs is None:
-                outs = accs[c2] = ({}, {})
-            for src, acc in zip(parts, outs):
-                get = acc.get
-                for left, x in src.items():
-                    if x:
-                        gden, terms = created[total - weights[left]]
-                        x *= cden // gden
-                        for made, num in terms:
-                            tgt = left + made
-                            acc[tgt] = get(tgt, 0) + x * num
+        weights = _WEIGHTS  # a leftover's own weight fixes the degree it must gain
+        groups = [
+            (c2, k, [(total - weights[left], left, x) for left, x in part.items() if x])
+            for (c2, total), parts in merged.items()
+            for k, part in enumerate(parts)
+        ]
+        accs, cden = _create(f0, f2, groups)
         return accs, den * cden
 
     def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
@@ -993,24 +975,22 @@ def exchange_series(alpha: LatticeVector, beta: LatticeVector, order: int) -> Li
     return out
 
 
-def _e_plus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector) -> Dict[int, FockVector]:
+def _e_plus_map(data: VertexData, vec: FockVector) -> Dict[int, FockVector]:
     """Expansion of the annihilating exponential of a vector: {h4: image}."""
-    f0, f2 = _contraction_factors(kappa0, kappa2)
     out: Dict[int, FockVector] = {}
     for mono, coeff in vec.terms.items():
         modes, c = mono
-        for h4, afac, leftover in _annihilation_terms(modes, f0, f2):
+        for h4, afac, leftover in _annihilation_terms(modes, data.f0, data.f2):
             out.setdefault(h4, FockVector()).add_term(_monomials(c)[leftover], coeff * afac)
     return {h: v for h, v in out.items() if not v.is_zero()}
 
 
-def _e_minus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector, order: int) -> Dict[int, FockVector]:
+def _e_minus_map(data: VertexData, vec: FockVector, order: int) -> Dict[int, FockVector]:
     """Truncated expansion of the creating exponential: {g4: image}."""
-    f0, f2 = _contraction_factors(kappa0, kappa2)
     out: Dict[int, FockVector] = {}
     for g4 in range(0, order + 1, 2):
         acc = FockVector()
-        den, created_terms = _creation_terms(-f0, -f2, g4)
+        den, created_terms = _creation_terms(-data.f0, -data.f2, g4)
         for created, num in created_terms:
             cfac = Fraction(num, den)
             for mono, coeff in vec.terms.items():
@@ -1025,25 +1005,25 @@ def _e_minus_map(kappa0: Fraction, kappa2: Fraction, vec: FockVector, order: int
 def check_exchange_identity(fock: TwistedFock, order: int = 12) -> Report:
     """Low-order coefficient check of the exchange rule
     E+(a,x1)E-(b,x2) = E-(b,x2)E+(a,x1) prod_p (1 - i^p (x2/x1)^(1/4))^<nu^p a,b>
-    on the vacuum and on an excited monomial."""
+    on the vacuum and on an excited monomial, with the contraction factors
+    of fock's simple vertex operators."""
     rep = Report("exponential-exchange")
-    cases = [(ALPHA1, ALPHA1), (ALPHA1, ALPHA2)]
     test_vectors = [FockVector.unit(VACUUM), FockVector.unit(((6, 4, 2), 1))]
-    for alpha, beta in cases:
-        ka0, ka2 = project_lattice(alpha, 0).m, project_lattice(alpha, 2).m
-        kb0, kb2 = project_lattice(beta, 0).m, project_lattice(beta, 2).m
+    for a, b in (("a1", "a1"), ("a1", "a2")):
+        da, db = fock.vertex[a], fock.vertex[b]
+        alpha, beta = da.vec, db.vec
         series = exchange_series(alpha, beta, order)
         for v in test_vectors:
             lhs: Dict[Tuple[int, int], FockVector] = {}
-            for g4, w in _e_minus_map(kb0, kb2, v, order).items():
-                for h4, u in _e_plus_map(ka0, ka2, w).items():
+            for g4, w in _e_minus_map(db, v, order).items():
+                for h4, u in _e_plus_map(da, w).items():
                     if h4 <= order:
                         lhs[(h4, g4)] = lhs.get((h4, g4), FockVector()) + u
             rhs: Dict[Tuple[int, int], FockVector] = {}
-            for h4, w in _e_plus_map(ka0, ka2, v).items():
+            for h4, w in _e_plus_map(da, v).items():
                 if h4 > order:
                     continue
-                for g4, u in _e_minus_map(kb0, kb2, w, order).items():
+                for g4, u in _e_minus_map(db, w, order).items():
                     for k, s in enumerate(series):
                         if s.is_zero():
                             continue

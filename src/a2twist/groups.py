@@ -157,8 +157,7 @@ class CosetModel:
             raise ValueError("only the twisted extension acts on the coset module")
         out: Dict[int, GaussianRational] = {}
         for c, coeff in v.items():
-            prod = ext_mul(a, section(ALPHA1.scaled(c), HAT_LNU))
-            scalar, c2 = self.reduce(prod.phase, prod.vec)
+            scalar, c2 = self.act_on_charge(a, c)
             val = out.get(c2)
             new = coeff * scalar if val is None else val + coeff * scalar
             if new.is_zero():

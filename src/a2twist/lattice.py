@@ -43,7 +43,8 @@ ZEROV = LatticeVector(0, 0)
 _GRAM = ((2, -1), (-1, 2))
 
 
-def gram(a: LatticeVector, b: LatticeVector) -> int:
+def gram(a, b):
+    """The Cartan form on lattice vectors, or on their rational span."""
     return (
         _GRAM[0][0] * a.m * b.m
         + _GRAM[0][1] * a.m * b.n
@@ -67,32 +68,8 @@ class RationalHVector(NamedTuple):
     def of(cls, a: LatticeVector) -> "RationalHVector":
         return cls(Fraction(a.m), Fraction(a.n))
 
-    @classmethod
-    def make(cls, m, n) -> "RationalHVector":
-        return cls(Fraction(m), Fraction(n))
-
     def __add__(self, other):
         return RationalHVector(self.m + other.m, self.n + other.n)
-
-    def __sub__(self, other):
-        return RationalHVector(self.m - other.m, self.n - other.n)
-
-    def __neg__(self):
-        return RationalHVector(-self.m, -self.n)
-
-    def scaled(self, s) -> "RationalHVector":
-        s = Fraction(s)
-        return RationalHVector(self.m * s, self.n * s)
-
-
-def gram_q(a: RationalHVector, b: RationalHVector) -> Fraction:
-    return (
-        2 * a.m * b.m - a.m * b.n - a.n * b.m + 2 * a.n * b.n
-    )
-
-
-def nu_q(a: RationalHVector) -> RationalHVector:
-    return RationalHVector(a.n, a.m)
 
 
 def project(a: RationalHVector, p: int) -> RationalHVector:
@@ -105,8 +82,7 @@ def project(a: RationalHVector, p: int) -> RationalHVector:
     if p % 2 == 1:
         return RationalHVector(Fraction(0), Fraction(0))
     sign = 1 if p % 4 == 0 else -1
-    b = nu_q(a)
-    return RationalHVector((a.m + sign * b.m) / 2, (a.n + sign * b.n) / 2)
+    return RationalHVector((a.m + sign * a.n) / 2, (a.n + sign * a.m) / 2)
 
 
 def project_lattice(a: LatticeVector, p: int) -> RationalHVector:

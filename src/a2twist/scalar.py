@@ -177,68 +177,6 @@ def i_power(k: int) -> GaussianRational:
     return _I_POWERS[k % 4]
 
 
-class QuarterInt:
-    """An element of (1/4)Z, stored as the integer number of quarter units.
-
-    Mode indices and weights all live here; storing quarters keeps the
-    parity classification (integer / half-odd / 1/4-class / 3/4-class)
-    branch-free on q mod 4.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        self.q = q
-
-    @classmethod
-    def of(cls, value) -> "QuarterInt":
-        f = Fraction(value)
-        if 4 % f.denominator:
-            raise ValueError("%s is not a quarter integer" % (value,))
-        return cls(int(f * 4))
-
-    def __eq__(self, other):
-        return isinstance(other, QuarterInt) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("q4", self.q))
-
-    def __lt__(self, other):
-        return self.q < other.q
-
-    def __le__(self, other):
-        return self.q <= other.q
-
-    def __add__(self, other):
-        return QuarterInt(self.q + other.q)
-
-    def __sub__(self, other):
-        return QuarterInt(self.q - other.q)
-
-    def __neg__(self):
-        return QuarterInt(-self.q)
-
-    def is_integer(self) -> bool:
-        return self.q % 4 == 0
-
-    def is_half_odd(self) -> bool:
-        return self.q % 4 == 2
-
-    def is_quarter_class(self) -> bool:
-        """True when the value lies in 1/4 + Z."""
-        return self.q % 4 == 1
-
-    def is_three_quarter_class(self) -> bool:
-        """True when the value lies in 3/4 + Z."""
-        return self.q % 4 == 3
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.q, 4)
-
-    def __repr__(self):
-        return str(Fraction(self.q, 4))
-
-
 # ---------------------------------------------------------------------------
 # Sparse exact linear algebra.
 #

@@ -185,6 +185,28 @@ def test_pbw_enumeration():
     for mono in pbw_monomials(3, 9):
         assert monomial_charge(mono) == 3
         assert monomial_qweight4(mono) == 9
+    # every grade to quarter-weight 16 against all partitions of the weight:
+    # odd parts are u quanta (charge 1), multiples of 4 are z quanta (charge 2)
+    for l in range(17):
+        want = {}
+        for parts in _partitions(l, l):
+            if any(p % 4 == 2 for p in parts):
+                continue
+            z = tuple(-p for p in reversed(parts) if p % 4 == 0)
+            u = tuple(-p for p in reversed(parts) if p % 2)
+            want.setdefault(len(u) + 2 * len(z), []).append((z, u))
+        for k in range(l + 1):
+            assert pbw_monomials(k, l) == sorted(want.get(k, [])), (k, l)
+
+
+def _partitions(total, most):
+    """Partitions of total into parts at most most, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    for p in range(min(total, most), 0, -1):
+        for rest in _partitions(total - p, p):
+            yield (p,) + rest
 
 
 def test_ideal_bucket_examples(fock):
@@ -294,9 +316,9 @@ def _stack_left_mul(elt, gen):
     out = EnvElement()
     for (z, u), coeff in elt.terms.items():
         if gen.label == "z":
-            out._accumulate_raw(z + (gen.n.q,), u, coeff)
+            out._accumulate_raw(z + (gen.n4,), u, coeff)
         else:
-            out._accumulate_raw(z, (gen.n.q,) + u, coeff)
+            out._accumulate_raw(z, (gen.n4,) + u, coeff)
     return out
 
 

@@ -838,6 +838,15 @@ def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
 
 
+def test_exchange_reads_the_engines_contraction_factors():
+    # a doubled fixed-boson factor of a1, then a negated flipped-boson factor of a2
+    for key, field, scale in (("a1", "f0", 2), ("a2", "f2", -1)):
+        fock = TwistedFock()
+        data = fock.vertex[key]
+        fock.vertex[key] = data._replace(**{field: scale * getattr(data, field)})
+        assert not check_exchange_identity(fock).passed, (key, field)
+
+
 def test_odd_charge_phase_sign_fails_brackets(monkeypatch):
     act = CosetModel.act_on_charge
 

@@ -14,7 +14,6 @@ from a2twist.lattice import (
     cocycle_epsC,
     eps0_exp,
     gram,
-    gram_q,
     nu,
     project,
     project_lattice,
@@ -63,7 +62,7 @@ def test_projections_resolve_identity():
         assert p0 + p2 == v
         assert project(p0, 0) == p0  # idempotent
         assert project(p0, 2) == RationalHVector(0, 0)  # orthogonal images
-        assert gram_q(p0, p2) == 0
+        assert gram(p0, p2) == 0
 
 
 def test_commutator_values():

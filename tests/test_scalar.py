@@ -12,7 +12,6 @@ from a2twist.scalar import (
     GaussianRational,
     I,
     ONE,
-    QuarterInt,
     SparseVector,
     ZERO,
     i_power,
@@ -56,23 +55,6 @@ def test_i_power_cycle():
     assert [i_power(k) for k in range(4)] == [ONE, I, GaussianRational(-1), GaussianRational(0, -1)]
     assert i_power(-1) == GaussianRational(0, -1)
     assert i_power(7) == i_power(3)
-
-
-def test_quarter_int_classification_exhaustive():
-    for q in range(-17, 18):
-        x = QuarterInt(q)
-        flags = [x.is_integer(), x.is_half_odd(), x.is_quarter_class(), x.is_three_quarter_class()]
-        assert sum(flags) == 1
-
-
-def test_quarter_int_arithmetic():
-    a = QuarterInt.of(Fraction(3, 4))
-    b = QuarterInt.of(Fraction(-1, 2))
-    assert (a + b).as_fraction() == Fraction(1, 4)
-    assert (-a).q == -3
-    assert b < a
-    with pytest.raises(ValueError):
-        QuarterInt.of(Fraction(1, 3))
 
 
 def transposed(m):
