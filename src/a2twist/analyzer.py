@@ -8,9 +8,9 @@ shift-morphism identities.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from .envelope import EnvElement, IdealSlice, PBWMonomial, pbw_monomials
+from .envelope import EnvElement, IdealSlice, PBWMonomial, pbw_monomials, vacuum_image
 from .fock import (
     BucketKey,
     FockVector,
@@ -62,9 +62,6 @@ class GradedTable:
         if k < 0 or l < 0:
             return 0
         return self.entries.get((k, l), 0)
-
-    def rows(self) -> List[Tuple[int, int, int]]:
-        return [(k, l, d) for (k, l), d in sorted(self.entries.items())]
 
 
 class PrincipalSubspace:
@@ -185,18 +182,13 @@ def check_exact_sequence(fock: TwistedFock, space: PrincipalSubspace, cutoff: in
     return rep
 
 
-def check_presentation(
-    fock: TwistedFock,
-    table: GradedTable,
-    cutoff: int,
-    slack4: int = 0,
-) -> Report:
+def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Report:
     """Per bucket: the PBW monomial count minus the rank of the projected
     relation ideal equals the subspace dimension, and the evaluation map
     kills the whole ideal slice.  Each PBW monomial is evaluated on the
     vacuum once, into a table freed when the suite returns."""
     rep = Report("presentation")
-    slice_ = IdealSlice(slack4=slack4)
+    slice_ = IdealSlice()
     on_vacuum: Dict[PBWMonomial, FockVector] = {}
     finding = {}
     for l in range(cutoff + 1):
@@ -224,14 +216,8 @@ def check_presentation(
                     {"bucket": (k, l), "condition": "ideal-evaluates-to-zero"},
                 )
             # exploratory finding: images of the distinct-odd-mode words
-            distinct = [
-                mono
-                for mono in monos
-                if not mono[0] and len(set(mono[1])) == len(mono[1])
-            ]
-            images = [
-                EnvElement({mono: ONE}).evaluate(fock, on_vacuum) for mono in distinct
-            ]
+            distinct = [m for m in monos if not m[0] and len(set(m[1])) == len(m[1])]
+            images = [vacuum_image(fock, mono, on_vacuum) for mono in distinct]
             finding[str((k, l))] = {
                 "distinct_mode_words": len(distinct),
                 "independent": _rank_of(images) == len(distinct),
@@ -241,11 +227,11 @@ def check_presentation(
     return rep
 
 
-def solve_raising_constant(fock: TwistedFock) -> GaussianRational:
+def solve_raising_constant(fock: TwistedFock, on_vacuum: Dict[PBWMonomial, FockVector]) -> GaussianRational:
     """The proportionality constant of the charge-raising map against the
-    companion map at charge zero."""
+    companion map at charge zero, evaluated through the caller's table."""
     lhs = fock.apply("e1", 0, fock.vacuum())
-    rhs = EnvElement.unit().psi().evaluate(fock)
+    rhs = EnvElement.unit().psi().evaluate(fock, on_vacuum)
     mono, coeff = next(iter(sorted(rhs.terms.items())))
     return lhs.terms[mono] * coeff.inverse()
 
@@ -258,10 +244,13 @@ def check_morphisms(fock: TwistedFock, cutoff: int) -> Report:
     The constant is solved once at charge zero; across charges it follows
     the law A * (-i)^charge forced by the commutation of the raising
     operator with the central component (a single charge-independent
-    constant provably cannot exist, which the report also records).
+    constant provably cannot exist, which the report also records).  Every
+    evaluation reads one table of vacuum images, freed when the suite
+    returns.
     """
     rep = Report("shift-morphisms")
-    a_zero = solve_raising_constant(fock)
+    on_vacuum: Dict[PBWMonomial, FockVector] = {}
+    a_zero = solve_raising_constant(fock, on_vacuum)
     # e1 . vacuum = (4 / sigma) x(-1/4) . vacuum, with sigma the normalizing factor
     quarter_low = fock.apply("a1", -1, fock.vacuum())
     ok = fock.apply("e1", 0, fock.vacuum()) == quarter_low.scale(
@@ -273,14 +262,14 @@ def check_morphisms(fock: TwistedFock, cutoff: int) -> Report:
         for k in range(isqrt(l) + 1):
             for mono in pbw_monomials(k, l):
                 a = EnvElement({mono: ONE})
-                base = a.evaluate(fock)
+                base = a.evaluate(fock, on_vacuum)
                 # constant-term map realizes the shift
                 lhs = fock.apply("dT", 0, base)
-                rhs = a.shift(1).evaluate(fock)
+                rhs = a.shift(1).evaluate(fock, on_vacuum)
                 rep.record(lhs == rhs, {"identity": "lowering-is-shift", "monomial": mono})
                 # raising map realizes the companion map, charge-graded constant
                 lhs = fock.apply("e1", 0, base)
-                rhs = a.psi().evaluate(fock).scale(a_zero * i_power(-k))
+                rhs = a.psi().evaluate(fock, on_vacuum).scale(a_zero * i_power(-k))
                 rep.record(
                     lhs == rhs,
                     {"identity": "raising-is-companion", "monomial": mono, "charge": k},

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -220,15 +221,11 @@ class EnvElement(SparseVector):
 
     # -- evaluation into the module ------------------------------------------
 
-    def evaluate(
-        self, fock: TwistedFock, table: Optional[Dict[PBWMonomial, FockVector]] = None
-    ) -> FockVector:
+    def evaluate(self, fock: TwistedFock, table: Dict[PBWMonomial, FockVector]) -> FockVector:
         """Apply to the vacuum, substituting the component operators for the
-        generators.  Each monomial's image is read from table (a fresh one by
-        default) through vacuum_image, so a caller that passes one table to
-        many elements evaluates each PBW monomial once."""
-        if table is None:
-            table = {}
+        generators.  Each monomial's image is read from table through
+        vacuum_image, so a caller that passes one table to many elements
+        evaluates each PBW monomial once."""
         total = FockVector()
         for mono, coeff in self.terms.items():
             for tgt, c in vacuum_image(fock, mono, table).terms.items():
@@ -267,14 +264,15 @@ R12 = "zz"
 R121 = "zu"
 
 
+# kind -> (least quarter-degree, step, number of simple factors)
+GENERATORS = {R1: (2, 2, 2), R12: (8, 4, 0), R121: (5, 2, 1)}
+
+
 def admissible_t4(kind: str, t4: int) -> bool:
-    if kind == R1:
-        return t4 % 2 == 0 and t4 >= 2
-    if kind == R12:
-        return t4 % 4 == 0 and t4 >= 8
-    if kind == R121:
-        return t4 % 2 == 1 and t4 >= 5
-    raise ValueError(kind)
+    if kind not in GENERATORS:
+        raise ValueError(kind)
+    least, step, _ = GENERATORS[kind]
+    return t4 >= least and (t4 - least) % step == 0
 
 
 def make_R0(kind: str, t4: int) -> EnvElement:
@@ -305,11 +303,11 @@ def make_R0(kind: str, t4: int) -> EnvElement:
 
 
 def _generator_keys(max_qweight4: int) -> List[Tuple[str, int]]:
-    return (
-        [(R1, t4) for t4 in range(2, max_qweight4 + 1, 2)]
-        + [(R12, t4) for t4 in range(8, max_qweight4 + 1, 4)]
-        + [(R121, t4) for t4 in range(5, max_qweight4 + 1, 2)]
-    )
+    return [
+        (kind, t4)
+        for kind, (least, step, _) in GENERATORS.items()
+        for t4 in range(least, max_qweight4 + 1, step)
+    ]
 
 
 def generator_list(max_qweight4: int) -> List[Tuple[str, int, EnvElement]]:
@@ -375,17 +373,12 @@ class IdealSlice:
         if hit is not None:
             return hit
         gen = make_R0(kind, t4)
-        n_u = 2 if kind == R1 else (1 if kind == R121 else 0)
-        bound = t4 + self.slack4
-        dressings = [()]
-        if n_u >= 1:
-            dressings += [(a,) for a in range(1, bound + 1, 2)]
-        if n_u >= 2:
-            dressings += [
-                (a, b)
-                for a in range(1, bound + 1, 2)
-                for b in range(a, bound + 1, 2)
-            ]
+        odd = range(1, t4 + self.slack4 + 1, 2)
+        dressings = (
+            dress
+            for count in range(GENERATORS[kind][2] + 1)
+            for dress in itertools.combinations_with_replacement(odd, count)
+        )
         out = []
         for dress in dressings:
             elt = gen
@@ -453,38 +446,25 @@ def _match_constant(diff: EnvElement, target: EnvElement):
     return None
 
 
-def check_ideal_stability(t4_max: int = 24) -> Report:
-    """Shift images of the truncated generators land back in the ideal, and
-    the companion-map images decompose against the ideal generators with
-    solved nonzero constants."""
+def check_ideal_stability() -> Report:
+    """Shift images of the truncated generators, to degree t = 6, land back
+    in the ideal, and the companion-map images decompose against the ideal
+    generators with solved nonzero constants."""
     rep = Report("ideal-stability")
-    theta1 = i_power(3)  # character value on the first simple vector
+    t4_max = 24
     solved_b = {}
     solved_d = {}
-    for t4 in range(2, t4_max + 1, 2):
-        g = make_R0(R1, t4)
-        img = g.shift(1)
-        if t4 in (2, 4):
-            rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": R1, "t4": t4})
-        else:
-            resid = img - make_R0(R1, t4 - 4).scale(theta1 * theta1)
-            rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": R1, "t4": t4})
-    for t4 in range(8, t4_max + 1, 4):
-        g = make_R0(R12, t4)
-        img = g.shift(1)
-        if t4 in (8, 12):
-            rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": R12, "t4": t4})
-        else:
-            resid = img - make_R0(R12, t4 - 8)
-            rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": R12, "t4": t4})
-    for t4 in range(5, t4_max + 1, 2):
-        g = make_R0(R121, t4)
-        img = g.shift(1)
-        if t4 <= 9:
-            rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": R121, "t4": t4})
-        else:
-            resid = img - make_R0(R121, t4 - 6).scale(theta1)
-            rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": R121, "t4": t4})
+    # the shift lowers a generator with n_u simple factors by 8 - 2 n_u
+    # quarters and scales it by the character value i^3 per simple factor
+    for kind, (least, step, n_u) in GENERATORS.items():
+        drop = 8 - 2 * n_u
+        for t4 in range(least, t4_max + 1, step):
+            img = make_R0(kind, t4).shift(1)
+            if not admissible_t4(kind, t4 - drop):
+                rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": kind, "t4": t4})
+            else:
+                resid = img - make_R0(kind, t4 - drop).scale(i_power(3 * n_u))
+                rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": kind, "t4": t4})
     # Companion map: psi(shift(a)) = a * u(-1/4) exactly, so the residual
     # content is the decomposition of g*u(-1/4) - u(-1/4)*g against the
     # generator one quarter up.

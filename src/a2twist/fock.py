@@ -119,29 +119,26 @@ def sigma_factor(vec: LatticeVector) -> GaussianRational:
 
 class VertexData(NamedTuple):
     vec: LatticeVector
-    charge: int
-    kappa0: Fraction  # coefficient of the fixed boson in the 0-projection
-    kappa2: Fraction  # coefficient of the flipped boson in the 2-projection
     f0: int  # contraction factor kappa0 * <beta, beta> of the fixed boson
     f2: int  # contraction factor kappa2 * <beta, beta> of the flipped boson
     prefactor: GaussianRational
-    diag4_offset: int  # quarter-degree of the diagonal part at charge 0
-    diag4_slope: int  # quarter-degree gained per unit of source charge
+    head4: int  # 2 <v, v> plus the diagonal quarter-degree at charge 0
+    slope4: int  # quarter-degree the diagonal part gains per unit of source charge
 
 
 def _vertex_data(vec: LatticeVector) -> VertexData:
     p0 = project_lattice(vec, 0)
     p2 = project_lattice(vec, 2)
-    norm = gram(vec, vec)
-    pref = (GaussianRational(4) ** (-(norm // 2))) * sigma_factor(vec)
-    # diagonal x-exponent on charge c: <P0 v, c a1> + <P0 v, P0 v>/2 - <v, v>/2
-    const4 = 4 * (gram(p0, p0) / 2 - Fraction(norm, 2))
+    pref = (GaussianRational(4) ** (-(gram(vec, vec) // 2))) * sigma_factor(vec)
+    # diagonal x-exponent on charge c: <P0 v, c a1> + <P0 v, P0 v>/2 - <v, v>/2;
+    # with the 2 <v, v> quarters of the head its constant is 2 <P0 v, P0 v>
+    head4 = 2 * gram(p0, p0)
     slope4 = 4 * gram(p0, ALPHA1)
     # per-quantum contraction factors kappa * <beta, beta> of the two families
     f0, f2 = p0.m * GRAM_NORM[0], p2.m * GRAM_NORM[2]
-    if any(x.denominator != 1 for x in (const4, slope4, f0, f2)):
+    if any(x.denominator != 1 for x in (head4, slope4, f0, f2)):
         raise AssertionError("diagonal degree or contraction factor not integral")
-    return VertexData(vec, gram(THETA, vec), p0.m, p2.m, int(f0), int(f2), pref, int(const4), int(slope4))
+    return VertexData(vec, int(f0), int(f2), pref, int(head4), int(slope4))
 
 
 VERTEX_VECS = {"a1": ALPHA1, "a2": ALPHA2, "a12": THETA}
@@ -400,9 +397,8 @@ class TwistedFock:
             if hit is None:
                 phase, c2 = self.coset.act_on_charge(section(data.vec, HAT_LNU), c)
                 hit = self._phases[(kind, c)] = (data.prefactor * phase, c2)
-            d4 = data.diag4_offset + data.diag4_slope * c
-            want = (-n4 - 2 * gram(data.vec, data.vec)) - d4  # creation minus annihilation
-            return want, hit[0], hit[1]
+            # creation minus annihilation
+            return -n4 - data.head4 - data.slope4 * c, hit[0], hit[1]
         if kind in ("b0", "b2"):
             if n4 == 0 or (n4 - (2 if kind == "b2" else 0)) % 4:
                 raise ValueError("mode does not match the boson family")
@@ -855,7 +851,6 @@ def check_quadratic_relations(
     fock: TwistedFock,
     vec_cutoff: int,
     t4_max: int = 24,
-    t4_min: int = -8,
     max_intermediate: int = 26,
 ) -> Report:
     """The degree-t quadratic sums annihilate the module.
@@ -889,7 +884,7 @@ def check_quadratic_relations(
         basis = enumerate_bucket(*bucket)
         ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
         zcap = l - (c + 2) * (c + 2)
-        for t4 in range(t4_min, t4_max + 1):
+        for t4 in range(-8, t4_max + 1):
             if t4 % 2 == 0:
                 # paired simple-component sums, indices n1 + n2 + 1/2 = -t
                 pairs = [
@@ -1002,12 +997,14 @@ def _e_minus_map(data: VertexData, vec: FockVector, order: int) -> Dict[int, Foc
     return out
 
 
-def check_exchange_identity(fock: TwistedFock, order: int = 12) -> Report:
+def check_exchange_identity(fock: TwistedFock) -> Report:
     """Low-order coefficient check of the exchange rule
     E+(a,x1)E-(b,x2) = E-(b,x2)E+(a,x1) prod_p (1 - i^p (x2/x1)^(1/4))^<nu^p a,b>
-    on the vacuum and on an excited monomial, with the contraction factors
-    of fock's simple vertex operators."""
+    on the vacuum and on an excited monomial, up to quarter-degree 12 in
+    each variable, with the contraction factors of fock's simple vertex
+    operators."""
     rep = Report("exponential-exchange")
+    order = 12
     test_vectors = [FockVector.unit(VACUUM), FockVector.unit(((6, 4, 2), 1))]
     for a, b in (("a1", "a1"), ("a1", "a2")):
         da, db = fock.vertex[a], fock.vertex[b]

@@ -34,7 +34,6 @@ BRACKET_MODE_BOUND = 12
 QUADRATIC_T4_MAX = 24  # degree bound t <= 6
 PRESENTATION_CUTOFF = 16
 MORPHISM_CUTOFF = 16
-STABILITY_T4_MAX = 24
 
 
 def _announce(label, report):
@@ -106,7 +105,7 @@ def test_criterion_08_shift_morphisms(fock):
 
 
 def test_criterion_09_ideal_stability(fock):
-    rep = check_ideal_stability(STABILITY_T4_MAX)
+    rep = check_ideal_stability()
     _announce("shift images of the truncated generators stay in the ideal, t <= 6", rep)
     print("solved decomposition constants: b =", rep.details["solved_b"]["1"], ", d =", rep.details["solved_d"]["7/4"])
     assert rep.details["solved_b"] and rep.details["solved_d"]
@@ -118,5 +117,5 @@ def test_criterion_10_group_layer():
 
 
 def test_supplement_exchange_identity(fock):
-    rep = check_exchange_identity(fock, order=12)
+    rep = check_exchange_identity(fock)
     _announce("exponential exchange identity at low orders", rep)

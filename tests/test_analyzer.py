@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -107,8 +108,27 @@ def test_morphisms(fock):
     assert rep.details["single_global_constant_exists"] is False
 
 
+def test_morphisms_apply_each_operator_once_per_vector():
+    # one table of vacuum images serves the whole suite, so no a1/a12
+    # application repeats, except a1(-1/4) on the vacuum, which the
+    # raising-on-vacuum identity asks for directly
+    fock = TwistedFock()
+    calls = Counter()
+    apply = fock.apply
+
+    def counted(kind, n4, vec):
+        if kind in ("a1", "a12"):
+            calls[(kind, n4, frozenset(vec.terms.items()))] += 1
+        return apply(kind, n4, vec)
+
+    fock.apply = counted
+    assert check_morphisms(fock, 12).passed
+    vacuum = frozenset(fock.vacuum().terms.items())
+    assert {key: n for key, n in calls.items() if n > 1} == {("a1", -1, vacuum): 2}
+
+
 def test_raising_constant(fock):
-    assert solve_raising_constant(fock) == GaussianRational(2, 2)
+    assert solve_raising_constant(fock, {}) == GaussianRational(2, 2)
 
 
 def test_repeat_build_determinism(fock):

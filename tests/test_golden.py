@@ -1,4 +1,4 @@
-"""Canonical JSON of two fixed command lines, byte for byte against fixtures
+"""Canonical JSON of three fixed command lines, byte for byte against fixtures
 committed under tests/golden/.  A change that alters any count, scalar or
 key order in this output shows up here."""
 
@@ -13,6 +13,13 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = [
     ("verify_cutoff12.json", ["verify", "--cutoff", "12", "--format", "json"]),
     ("dims_cutoff24.json", ["dims", "--cutoff", "24", "--format", "json"]),
+    (
+        "verify_envelope_cutoff16.json",
+        [
+            "verify", "--suites", "presentation,morphisms,stability",
+            "--cutoff", "16", "--presentation-cutoff", "16", "--format", "json",
+        ],
+    ),
 ]
 
 
