@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockVector, Report, TwistedFock
-from .scalar import GaussianRational, ONE, SparseVector, i_power
+from .scalar import GaussianRational, LazyTable, ONE, SparseVector, i_power
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -347,6 +347,28 @@ def pbw_monomials(charge: int, qweight4: int) -> List[PBWMonomial]:
     return sorted(out)
 
 
+def _dress(kind: str, t4: int, slack4: int) -> List[Tuple[EnvElement, Tuple[int, int]]]:
+    """The generator of kind and degree t4, pre-multiplied by every multiset
+    of nonnegative odd modes up to t4 + slack4 (at most as many as it has
+    simple factors) and projected, with the grade of each nonzero result."""
+    gen = make_R0(kind, t4)
+    odd = range(1, t4 + slack4 + 1, 2)
+    dressings = (
+        dress
+        for count in range(GENERATORS[kind][2] + 1)
+        for dress in itertools.combinations_with_replacement(odd, count)
+    )
+    out = []
+    for dress in dressings:
+        elt = gen
+        for a4 in dress:
+            elt = elt._left_mul_u(a4)
+        proj = elt.project_negative()
+        if not proj.is_zero():
+            out.append((proj, proj.grade()))
+    return out
+
+
 class IdealSlice:
     """Graded pieces of the relation ideal, projected onto the negative-mode
     subalgebra along the left ideal U.n>=0 of nonnegative modes.
@@ -363,41 +385,13 @@ class IdealSlice:
     """
 
     def __init__(self, slack4: int = 0):
-        self.slack4 = slack4
         # (kind, t4) -> [(dressed generator, its grade)]
-        self._dressed: Dict[Tuple[str, int], List[Tuple[EnvElement, Tuple[int, int]]]] = {}
-        self._monomials: Dict[Tuple[int, int], Tuple[PBWMonomial, ...]] = {}
-
-    def _dress(self, kind: str, t4: int) -> List[Tuple[EnvElement, Tuple[int, int]]]:
-        hit = self._dressed.get((kind, t4))
-        if hit is not None:
-            return hit
-        gen = make_R0(kind, t4)
-        odd = range(1, t4 + self.slack4 + 1, 2)
-        dressings = (
-            dress
-            for count in range(GENERATORS[kind][2] + 1)
-            for dress in itertools.combinations_with_replacement(odd, count)
-        )
-        out = []
-        for dress in dressings:
-            elt = gen
-            for a4 in dress:
-                elt = elt._left_mul_u(a4)
-            proj = elt.project_negative()
-            if not proj.is_zero():
-                out.append((proj, proj.grade()))
-        self._dressed[(kind, t4)] = out
-        return out
+        self._dressed = LazyTable(lambda key: _dress(*key, slack4))
+        # (charge, qweight4) -> its PBW monomials
+        self._monomials = LazyTable(lambda key: tuple(pbw_monomials(*key)))
 
     def dressed_generators(self, max_qweight4: int) -> List[EnvElement]:
-        return [h for kind, t4 in _generator_keys(max_qweight4) for h, _ in self._dress(kind, t4)]
-
-    def _pbw_monomials(self, charge: int, qweight4: int) -> Tuple[PBWMonomial, ...]:
-        hit = self._monomials.get((charge, qweight4))
-        if hit is None:
-            hit = self._monomials[(charge, qweight4)] = tuple(pbw_monomials(charge, qweight4))
-        return hit
+        return [h for key in _generator_keys(max_qweight4) for h, _ in self._dressed[key]]
 
     def bucket_span(self, charge: int, qweight4: int) -> List[EnvElement]:
         """Spanning set of the ideal's projection in one graded piece: each
@@ -406,12 +400,12 @@ class IdealSlice:
         modes: the projection, which commutes with left multiplication, is
         not taken again."""
         out = []
-        for kind, t4 in _generator_keys(qweight4):
-            for h, (gk, gq) in self._dress(kind, t4):
+        for key in _generator_keys(qweight4):
+            for h, (gk, gq) in self._dressed[key]:
                 dk, dq = charge - gk, qweight4 - gq
                 if dk < 0 or dq < dk:  # each creation generator costs at least 1 quarter
                     continue
-                for z, u in self._pbw_monomials(dk, dq):
+                for z, u in self._monomials[(dk, dq)]:
                     elt = h
                     for n4 in reversed(u):
                         elt = elt._left_mul_u(n4)

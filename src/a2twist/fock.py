@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
 from .lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, nu, project_lattice
-from .scalar import ExactMatrix, GaussianRational, ONE, SparseVector, ZERO, _reduced, i_power
+from .scalar import ExactMatrix, GaussianRational, LazyTable, ONE, SparseVector, ZERO, _reduced, i_power
 
 FockMonomial = Tuple[Tuple[int, ...], int]  # (quanta sorted descending, coset charge)
 BucketKey = Tuple[int, int]  # (charge, quarter-weight)
@@ -160,7 +160,6 @@ VERTEX_VECS = {"a1": ALPHA1, "a2": ALPHA2, "a12": THETA}
 _DIGIT_BITS = 8
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 _MODE_SUM_LIMIT = 2 << _DIGIT_BITS  # least mode sum at which a multiplicity can reach 256
-_MODES: Dict[int, Tuple[int, ...]] = {}  # packed multiset -> quanta sorted descending
 _TARGETS: Dict[int, int] = {}  # packed multiset -> its one shared int object
 
 
@@ -186,19 +185,15 @@ def _pack(modes: Tuple[int, ...]) -> int:
     return packed
 
 
-def _unpack(packed: int) -> Tuple[int, ...]:
-    """Quanta of a packed multiset, sorted descending; one shared tuple per
-    multiset."""
-    modes = _MODES.get(packed)
-    if modes is None:
-        out: List[int] = []
-        rest, q = packed, 2
-        while rest:
-            out += [q] * (rest & _DIGIT_MASK)
-            rest >>= _DIGIT_BITS
-            q += 2
-        modes = _MODES[packed] = tuple(reversed(out))
-    return modes
+def _decode(packed: int) -> Tuple[int, ...]:
+    """Quanta of a packed multiset, sorted descending."""
+    out: List[int] = []
+    rest, q = packed, 2
+    while rest:
+        out += [q] * (rest & _DIGIT_MASK)
+        rest >>= _DIGIT_BITS
+        q += 2
+    return tuple(reversed(out))
 
 
 def _interned(packed) -> tuple:
@@ -207,39 +202,10 @@ def _interned(packed) -> tuple:
     return tuple(map(_TARGETS.setdefault, packed, packed))
 
 
-class _MonomialTable(dict):
-    """Packed multiset -> monomial at one charge, decoded on first lookup, so
-    each monomial is one shared object."""
-
-    def __init__(self, charge: int):
-        super().__init__()
-        self.charge = charge
-
-    def __missing__(self, packed: int) -> FockMonomial:
-        mono = self[packed] = (_unpack(packed), self.charge)
-        return mono
-
-
-_MONOS: Dict[int, _MonomialTable] = {}  # charge -> its table
-
-
-def _monomials(charge: int) -> _MonomialTable:
-    table = _MONOS.get(charge)
-    if table is None:
-        table = _MONOS[charge] = _MonomialTable(charge)
-    return table
-
-
-class _Weights(dict):
-    """Packed multiset -> total quarter-weight of its quanta, computed on
-    first lookup."""
-
-    def __missing__(self, packed: int) -> int:
-        weight = self[packed] = sum(_unpack(packed))
-        return weight
-
-
-_WEIGHTS = _Weights()
+_MODES = LazyTable(_decode)  # packed multiset -> its quanta, one shared tuple each
+_WEIGHTS = LazyTable(lambda packed: sum(_MODES[packed]))  # packed multiset -> total quarter-weight
+# charge -> (packed multiset -> monomial at that charge), one shared monomial each
+_MONOS = LazyTable(lambda charge: LazyTable(lambda packed: (_MODES[packed], charge)))
 
 
 def _annihilation_terms(modes: Tuple[int, ...], f0: int, f2: int) -> List[Tuple[int, int, int]]:
@@ -338,7 +304,7 @@ def _decoded(accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]], den: int) -
     reduced once, targets that cancel dropped."""
     out = FockVector()
     for c2, (re, im) in accs.items():
-        monos = _monomials(c2)
+        monos = _MONOS[c2]
         for tgt, x in re.items():
             y = im.get(tgt, 0)
             if x or y:
@@ -447,7 +413,7 @@ class TwistedFock:
         modes, c = mono
         arg, base, c2 = self._head(kind, n4, c)
         den, targets, nums = self._kernel(kind, arg, modes)
-        return base.scale_frac(Fraction(1, den)), tuple(zip(map(_monomials(c2).__getitem__, targets), nums))
+        return base.scale_frac(Fraction(1, den)), tuple(zip(map(_MONOS[c2].__getitem__, targets), nums))
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
         """_image_raw of a vertex operator component; the reference image the
@@ -847,6 +813,33 @@ UU_FAMILIES = {
 }
 
 
+def _quadratic_sums(t4: int, ucap: int, zcap: int):
+    """The degree-t quadratic sums through their finite windows, as (family,
+    words), each word ((left kind, left index, right kind, right index),
+    weight); ucap and zcap are the largest live quarter indices of the
+    charge-1 and charge-2 components on the source bucket."""
+    if t4 % 2 == 0:
+        # paired simple-component sums, indices n1 + n2 + 1/2 = -t
+        pairs = [
+            (a4, -t4 - 2 - a4) for a4 in range(-t4 - 2 - ucap, ucap + 1) if a4 % 2 and -t4 - 2 - a4 <= ucap
+        ]
+        for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
+            words = []
+            for a4, b4 in pairs:
+                w = i_power(-b4) if phased else ONE
+                words += [((lk, a4 + 2, rk, b4), w), ((lk, a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
+            yield fam, words
+    if t4 % 4 == 0:
+        # central-central sums, m1 + m2 = -t
+        ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]
+        yield "zz", [(("a12", m4, "a12", -t4 - m4), ONE) for m4 in ms]
+    if t4 % 2:
+        # central-simple sums, m + n = -t
+        ns = [n4 for n4 in range(-t4 - zcap, ucap + 1) if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap]
+        for rk in ("a1", "a2"):
+            yield "z" + rk, [(("a12", -t4 - n4, rk, n4), ONE) for n4 in ns]
+
+
 def check_quadratic_relations(
     fock: TwistedFock,
     vec_cutoff: int,
@@ -859,25 +852,13 @@ def check_quadratic_relations(
     provably zero once its right factor's target drops below ground, and
     past the capacity bound on the left index the paired terms cancel after
     swapping (the two central corrections cancel; for the central factor
-    the swap is exact).  Combinations whose window needs an intermediate
-    bucket beyond max_intermediate are skipped and counted.
+    the swap is exact).  A sum whose lowest right index needs an
+    intermediate bucket beyond max_intermediate is skipped and counted, so
+    every enumerated sum is either checked or counted.
     """
     rep = Report("quadratic-relations")
     skipped = 0
     local = _LocalApplier(fock)
-
-    def run_terms(basis, terms, fam, t4, bucket):
-        for mono in basis:
-            combination = [
-                (weight, lk, a4, local.unit_image(rk, b4, mono))
-                for word_and_sign in terms
-                for (lk, a4, rk, b4), weight in word_and_sign
-            ]
-            rep.record(
-                local.vanishes(combination),
-                {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
-            )
-
     for bucket in all_buckets(vec_cutoff):
         c, l = bucket
         local.units.clear()
@@ -885,49 +866,18 @@ def check_quadratic_relations(
         ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
         zcap = l - (c + 2) * (c + 2)
         for t4 in range(-8, t4_max + 1):
-            if t4 % 2 == 0:
-                # paired simple-component sums, indices n1 + n2 + 1/2 = -t
-                pairs = [
-                    (a4, -t4 - 2 - a4)
-                    for a4 in range(-t4 - 2 - ucap, ucap + 1)
-                    if a4 % 2 and -t4 - 2 - a4 <= ucap
-                ]
-                if any(l - b4 > max_intermediate for _, b4 in pairs):
-                    skipped += 4 * len(basis)
-                    continue
-                for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
-                    terms = []
-                    for a4, b4 in pairs:
-                        w = i_power(-b4) if phased else ONE
-                        terms.append(
-                            [((lk, a4 + 2, rk, b4), w), ((lk, a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
-                        )
-                    run_terms(basis, terms, fam, t4, bucket)
-            if t4 % 4 == 0:
-                # central-central sums, m1 + m2 = -t
-                zz = [
-                    (m4, -t4 - m4)
-                    for m4 in range(-t4 - zcap, zcap + 1)
-                    if m4 % 4 == 0 and -t4 - m4 <= zcap
-                ]
-                if any(l - b4 > max_intermediate for _, b4 in zz):
+            for fam, words in _quadratic_sums(t4, ucap, zcap):
+                if words and l - min(b4 for (_, _, _, b4), _ in words) > max_intermediate:
                     skipped += len(basis)
                     continue
-                terms = [[(("a12", m1, "a12", m2), ONE)] for m1, m2 in zz]
-                run_terms(basis, terms, "zz", t4, bucket)
-            if t4 % 2:
-                # central-simple sums, m + n = -t
-                zu = [
-                    (-t4 - n4, n4)
-                    for n4 in range(-t4 - zcap, ucap + 1)
-                    if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap
-                ]
-                if any(l - n4 > max_intermediate for _, n4 in zu):
-                    skipped += 2 * len(basis)
-                    continue
-                for rk in ("a1", "a2"):
-                    terms = [[(("a12", m4, rk, n4), ONE)] for m4, n4 in zu]
-                    run_terms(basis, terms, "z" + rk, t4, bucket)
+                for mono in basis:
+                    combination = [
+                        (w, lk, a4, local.unit_image(rk, b4, mono)) for (lk, a4, rk, b4), w in words
+                    ]
+                    rep.record(
+                        local.vanishes(combination),
+                        {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
+                    )
     rep.details["skipped_vector_sums"] = skipped
     return rep
 
@@ -976,7 +926,7 @@ def _e_plus_map(data: VertexData, vec: FockVector) -> Dict[int, FockVector]:
     for mono, coeff in vec.terms.items():
         modes, c = mono
         for h4, afac, leftover in _annihilation_terms(modes, data.f0, data.f2):
-            out.setdefault(h4, FockVector()).add_term(_monomials(c)[leftover], coeff * afac)
+            out.setdefault(h4, FockVector()).add_term(_MONOS[c][leftover], coeff * afac)
     return {h: v for h, v in out.items() if not v.is_zero()}
 
 
@@ -991,7 +941,7 @@ def _e_minus_map(data: VertexData, vec: FockVector, order: int) -> Dict[int, Foc
             for mono, coeff in vec.terms.items():
                 modes, c = mono
                 _check_room(sum(modes) + g4)
-                acc.add_term(_monomials(c)[_pack(modes) + created], coeff * cfac)
+                acc.add_term(_MONOS[c][_pack(modes) + created], coeff * cfac)
         if not acc.is_zero():
             out[g4] = acc
     return out
@@ -1001,12 +951,13 @@ def check_exchange_identity(fock: TwistedFock) -> Report:
     """Low-order coefficient check of the exchange rule
     E+(a,x1)E-(b,x2) = E-(b,x2)E+(a,x1) prod_p (1 - i^p (x2/x1)^(1/4))^<nu^p a,b>
     on the vacuum and on an excited monomial, up to quarter-degree 12 in
-    each variable, with the contraction factors of fock's simple vertex
-    operators."""
+    each variable, with the contraction factors of fock's vertex operators;
+    the rule holds for every pair of lattice vectors, so the pairs cover
+    the sum vector on either side."""
     rep = Report("exponential-exchange")
     order = 12
     test_vectors = [FockVector.unit(VACUUM), FockVector.unit(((6, 4, 2), 1))]
-    for a, b in (("a1", "a1"), ("a1", "a2")):
+    for a, b in (("a1", "a1"), ("a1", "a2"), ("a1", "a12"), ("a12", "a1"), ("a12", "a12")):
         da, db = fock.vertex[a], fock.vertex[b]
         alpha, beta = da.vec, db.vec
         series = exchange_series(alpha, beta, order)

@@ -232,6 +232,21 @@ class SparseVector:
         return type(other) is type(self) and self.terms == other.terms
 
 
+class LazyTable(dict):
+    """A dict that computes make(key) on the first lookup of a missing key
+    and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class ExactMatrix:
     """Sparse matrix over Q(i); zero entries are never stored."""
 

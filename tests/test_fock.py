@@ -12,9 +12,9 @@ from a2twist.fock import (
     GRAM_NORM,
     FockVector,
     TwistedFock,
+    _MODES,
     _LocalApplier,
     _pack,
-    _unpack,
     all_buckets,
     bucket_exists,
     check_brackets,
@@ -173,6 +173,26 @@ def test_quadratic_relations_small(fock):
     rep = check_quadratic_relations(fock, 8, t4_max=12, max_intermediate=16)
     assert rep.passed
     assert rep.checked > 500
+
+
+def quadratic_sums_per_monomial(t4_max):
+    """Sums the quadratic suite enumerates per basis monomial over t4 from -8:
+    four uu families at even t4, zz at t4 = 0 mod 4, za1 and za2 at odd t4."""
+    return sum(4 if t4 % 2 == 0 else 2 for t4 in range(-8, t4_max + 1)) + len(range(-8, t4_max + 1, 4))
+
+
+@pytest.mark.parametrize(
+    "cutoff, kwargs",
+    [(2, {}), (8, {}), (4, {"t4_max": 12, "max_intermediate": 16})],
+    ids=["cutoff2", "cutoff8", "cutoff4-t4max12"],
+)
+def test_quadratic_sums_are_all_checked_or_counted(fock, cutoff, kwargs):
+    rep = check_quadratic_relations(fock, cutoff, **kwargs)
+    assert rep.passed
+    monomials = sum(len(enumerate_bucket(*bucket)) for bucket in all_buckets(cutoff))
+    assert quadratic_sums_per_monomial(24) == 109
+    want = quadratic_sums_per_monomial(kwargs.get("t4_max", 24)) * monomials
+    assert rep.checked + rep.details["skipped_vector_sums"] == want
 
 
 def test_quadratic_truncation_matches_on_vacuum(fock):
@@ -516,9 +536,9 @@ def test_packed_multisets_round_trip():
     for l in range(25):
         for c in range(-isqrt(l), isqrt(l) + 1):
             for modes, _ in enumerate_bucket(c, l):
-                got = _unpack(_pack(modes))
+                got = _MODES[_pack(modes)]
                 assert got == modes
-                assert _unpack(_pack(modes)) is got
+                assert _MODES[_pack(modes)] is got
 
 
 def test_packed_sum_is_the_sorted_merge():
@@ -532,9 +552,9 @@ def test_packed_sum_is_the_sorted_merge():
                 side.append(q)
                 budget -= q
         a, b = merge(tuple(a), ()), merge(tuple(b), ())
-        assert _unpack(_pack(a) + _pack(b)) == merge(a, b)
+        assert _MODES[_pack(a) + _pack(b)] == merge(a, b)
     # the largest multiplicity a digit holds
-    assert _unpack(_pack((2,) * 120) + _pack((2,) * 135)) == (2,) * 255
+    assert _MODES[_pack((2,) * 120) + _pack((2,) * 135)] == (2,) * 255
 
 
 def test_multiplicity_256_raises(fock):
@@ -852,8 +872,9 @@ def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
 
 
 def test_exchange_reads_the_engines_contraction_factors():
-    # a doubled fixed-boson factor of a1, then a negated flipped-boson factor of a2
-    for key, field, scale in (("a1", "f0", 2), ("a2", "f2", -1)):
+    # a doubled fixed-boson factor of a1, a negated flipped-boson factor of
+    # a2, then a doubled and a negated fixed-boson factor of a12
+    for key, field, scale in (("a1", "f0", 2), ("a2", "f2", -1), ("a12", "f0", 2), ("a12", "f0", -1)):
         fock = TwistedFock()
         data = fock.vertex[key]
         fock.vertex[key] = data._replace(**{field: scale * getattr(data, field)})
