@@ -342,19 +342,19 @@ class TwistedFock:
     # must add beyond what the annihilating one removes, so one kernel
     # serves every charge whose mode and x-power give the same degree.
     #
-    # There are two ways to apply a vertex component to a vector.  The
-    # verification sweeps (_LocalApplier) sum per-monomial records
-    # (_accumulate): their table outlives each call and each record is read
-    # again and again (about 20 times over the relation and bracket sweeps
-    # at cutoff 16).  apply and apply_batch annihilate, merge and create
-    # once per call (_convolve): the leftovers of all the vector's monomials
-    # meet before the creating exponential, and only the annihilation
-    # expansions are kept, in a table the caller may hold across batches
-    # (dims keeps one per charge level: at cutoff 32 it builds 2 041
-    # expansions and reads each about 9 times).
-    # Records where the table outlives the call and is re-read,
-    # factorization where it is not.  e1, dT, b0 and b2 have one-monomial
-    # records only.
+    # There are two ways to apply a vertex component.  Per-monomial records
+    # (_accumulate) serve the relation and bracket sweeps and the sweeps'
+    # first-level unit images: a record's whole image is re-read (about 20
+    # times over the relation and bracket sweeps at cutoff 16), or the
+    # sources are single monomials.  Annihilate, merge, create (_convolve)
+    # serves apply, apply_batch and the quadratic zero tests: the leftovers
+    # of all the source monomials of a sum of one kind meet before one
+    # creating exponential, and only the annihilation expansions are kept,
+    # in a table the caller may hold across calls (dims keeps one per
+    # charge level: at cutoff 32 it builds 2 041 expansions and reads each
+    # about 9 times; at cutoff 2 the quadratic sums add 188 705 leftover
+    # terms, and 90 merged leftovers survive to be created).  e1, dT, b0
+    # and b2 have one-monomial records only.
 
     def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
         data = self.vertex.get(kind)
@@ -465,35 +465,38 @@ class TwistedFock:
                         acc[tgt] = get(tgt, 0) + x * n
         return accs, den
 
-    def _convolve(self, kind: str, n4: int, vec: FockVector, expansions: Dict[tuple, tuple]):
-        """A vertex component applied to the whole of vec, in the shape
-        _accumulate returns.  Each source monomial is annihilated once; the
-        leftovers of all its monomials, scaled by their heads, are merged
-        as Gaussian-integer numerators per (target charge, target mode
-        sum), where a leftover's own weight fixes the degree the creating
+    def _convolve(self, kind: str, terms, expansions: Dict[tuple, tuple]):
+        """Sum of w * kind(n4) vec over terms (w, n4, vec) of one vertex
+        kind, in the shape _accumulate returns.  Each source monomial is
+        annihilated once; the leftovers of all the terms' monomials, scaled
+        by their heads (each term's weight folded in), are merged as
+        Gaussian-integer numerators per (target charge, target mode sum),
+        where a leftover's own weight fixes the degree the creating
         exponential must add; each leftover is then convolved once with the
         creating exponential of that degree.  Annihilation expansions are
         looked up in (or added to) expansions under (kind, modes)."""
         data = self.vertex[kind]
         f0, f2 = data.f0, data.f2
-        heads = {}
         sources = []
         den = 1
-        for (modes, c), coeff in vec.terms.items():
-            head = heads.get(c)
-            if head is None:
-                arg, base, c2 = self._head(kind, n4, c)
-                head = heads[c] = (arg, base.a, base.b, base.d, c2)
-            arg, ha, hb, hd, c2 = head
-            total = sum(modes) + arg  # the mode sum of every target
-            _check_room(total)
-            if total < 0:
-                continue
-            ca, cb = coeff.a, coeff.b
-            d = coeff.d * hd
-            sources.append((ca * ha - cb * hb, ca * hb + cb * ha, d, arg, (c2, total), modes))
-            if den % d:
-                den = lcm(den, d)
+        for w, n4, vec in terms:
+            heads = {}
+            for (modes, c), coeff in vec.terms.items():
+                head = heads.get(c)
+                if head is None:
+                    arg, base, c2 = self._head(kind, n4, c)
+                    s = w * base
+                    head = heads[c] = (arg, s.a, s.b, s.d, c2)
+                arg, ha, hb, hd, c2 = head
+                total = sum(modes) + arg  # the mode sum of every target
+                _check_room(total)
+                if total < 0:
+                    continue
+                ca, cb = coeff.a, coeff.b
+                d = coeff.d * hd
+                sources.append((ca * ha - cb * hb, ca * hb + cb * ha, d, arg, (c2, total), modes))
+                if den % d:
+                    den = lcm(den, d)
         # leftovers over den, real and imaginary parts apart
         merged: Dict[Tuple[int, int], Tuple[Dict[int, int], Dict[int, int]]] = {}
         for a, b, d, arg, group, modes in sources:
@@ -535,7 +538,7 @@ class TwistedFock:
         _convolve over the annihilation expansions in table, the other kinds
         through their records in table."""
         if kind in self.vertex:
-            return _decoded(*self._convolve(kind, n4, vec, table))
+            return _decoded(*self._convolve(kind, [(ONE, n4, vec)], table))
         return self._apply(kind, n4, vec, table)
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
@@ -683,15 +686,18 @@ def bracket_coeff(left: str, right: str, m4: int) -> GaussianRational:
 
 class _LocalApplier:
     """Operator application for one verification sweep (one per sweep): image
-    kernels live in a table local to the sweep, so the engine's cache does
-    not grow with large mode ranges and everything is freed when the sweep
-    returns.  Images k(n)*m of the current bucket's basis monomials are
-    remembered in units, which the sweep clears at each new bucket.  Zero
-    tests (vanishes) read the same table and reduce nothing."""
+    records and annihilation expansions live in tables local to the sweep,
+    so the engine's cache does not grow with large mode ranges and
+    everything is freed when the sweep returns.  Images k(n)*m of the
+    current bucket's basis monomials are remembered in units, which the
+    sweep clears at each new bucket.  Both zero tests reduce nothing:
+    vanishes reads records (whole images re-read, or single-monomial
+    sources); sum_vanishes factorizes words of one outer kind."""
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
         self.images: Dict[tuple, tuple] = {}
+        self.expansions: Dict[tuple, tuple] = {}
         self.units: Dict[tuple, FockVector] = {}  # (kind, n4, mono) -> image of the unit vector
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
@@ -700,8 +706,13 @@ class _LocalApplier:
     def vanishes(self, terms) -> bool:
         """Whether sum w * kind(n4) vec over terms (w, kind, n4, vec) is zero,
         decided on the unreduced integer numerators."""
-        accs, _ = self.fock._accumulate(terms, self.images)
-        return not any(any(part.values()) for parts in accs.values() for part in parts)
+        return _all_zero(self.fock._accumulate(terms, self.images)[0])
+
+    def sum_vanishes(self, kind: str, terms) -> bool:
+        """Whether sum w * kind(n4) vec over terms (w, n4, vec) of one vertex
+        kind is zero, decided by one _convolve pass on the unreduced integer
+        numerators."""
+        return _all_zero(self.fock._convolve(kind, terms, self.expansions)[0])
 
     def unit_image(self, kind: str, n4: int, mono: FockMonomial) -> FockVector:
         key = (kind, n4, mono)
@@ -709,6 +720,10 @@ class _LocalApplier:
         if img is None:
             img = self.units[key] = self.apply(kind, n4, FockVector.unit(mono))
         return img
+
+
+def _all_zero(accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]]) -> bool:
+    return not any(any(part.values()) for parts in accs.values() for part in parts)
 
 
 def component_sign(n4: int) -> int:
@@ -815,9 +830,10 @@ UU_FAMILIES = {
 
 def _quadratic_sums(t4: int, ucap: int, zcap: int):
     """The degree-t quadratic sums through their finite windows, as (family,
-    words), each word ((left kind, left index, right kind, right index),
-    weight); ucap and zcap are the largest live quarter indices of the
-    charge-1 and charge-2 components on the source bucket."""
+    outer kind, words), each word ((left index, right kind, right index),
+    weight) with the outer kind on the left; ucap and zcap are the largest
+    live quarter indices of the charge-1 and charge-2 components on the
+    source bucket."""
     if t4 % 2 == 0:
         # paired simple-component sums, indices n1 + n2 + 1/2 = -t
         pairs = [
@@ -827,17 +843,17 @@ def _quadratic_sums(t4: int, ucap: int, zcap: int):
             words = []
             for a4, b4 in pairs:
                 w = i_power(-b4) if phased else ONE
-                words += [((lk, a4 + 2, rk, b4), w), ((lk, a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
-            yield fam, words
+                words += [((a4 + 2, rk, b4), w), ((a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
+            yield fam, lk, words
     if t4 % 4 == 0:
         # central-central sums, m1 + m2 = -t
         ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]
-        yield "zz", [(("a12", m4, "a12", -t4 - m4), ONE) for m4 in ms]
+        yield "zz", "a12", [((m4, "a12", -t4 - m4), ONE) for m4 in ms]
     if t4 % 2:
         # central-simple sums, m + n = -t
         ns = [n4 for n4 in range(-t4 - zcap, ucap + 1) if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap]
         for rk in ("a1", "a2"):
-            yield "z" + rk, [(("a12", -t4 - n4, rk, n4), ONE) for n4 in ns]
+            yield "z" + rk, "a12", [((-t4 - n4, rk, n4), ONE) for n4 in ns]
 
 
 def check_quadratic_relations(
@@ -866,16 +882,14 @@ def check_quadratic_relations(
         ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
         zcap = l - (c + 2) * (c + 2)
         for t4 in range(-8, t4_max + 1):
-            for fam, words in _quadratic_sums(t4, ucap, zcap):
-                if words and l - min(b4 for (_, _, _, b4), _ in words) > max_intermediate:
+            for fam, kind, words in _quadratic_sums(t4, ucap, zcap):
+                if words and l - min(b4 for (_, _, b4), _ in words) > max_intermediate:
                     skipped += len(basis)
                     continue
                 for mono in basis:
-                    combination = [
-                        (w, lk, a4, local.unit_image(rk, b4, mono)) for (lk, a4, rk, b4), w in words
-                    ]
+                    combination = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
                     rep.record(
-                        local.vanishes(combination),
+                        local.sum_vanishes(kind, combination),
                         {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
                     )
     rep.details["skipped_vector_sums"] = skipped

@@ -776,6 +776,12 @@ def reference_sum(fock, terms):
     return {tgt: c for tgt, c in acc.items() if not c.is_zero()}
 
 
+def factorized(local, terms):
+    """local.sum_vanishes on terms (w, kind, n4, vec) of one vertex kind."""
+    (kind,) = {kind for _, kind, _, _ in terms}
+    return local.sum_vanishes(kind, [(w, n4, vec) for w, _, n4, vec in terms])
+
+
 def test_charge_free_table_matches_reference_across_charges():
     fock = TwistedFock()
     rng = random.Random(12)
@@ -793,10 +799,12 @@ def test_charge_free_table_matches_reference_across_charges():
                     calls += len(vec.terms)
     assert len(table) < calls // 4  # records were shared across charges and vectors
 
-    # the integer zero test against build-subtract-compare, on zero and
-    # non-zero combinations
+    # both integer zero tests against build-subtract-compare, on zero and
+    # non-zero combinations; the factorized one on the single-kind sums,
+    # among them words at n4 and n4 + 2 on different vectors (a head shared
+    # across terms would give those the wrong mode)
     local = _LocalApplier(fock)
-    outcomes = set()
+    outcomes, factorized_outcomes = set(), set()
     for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
         monos = enumerate_bucket(*bucket)
         v, v2 = random_vector(rng, monos), random_vector(rng, monos)
@@ -819,8 +827,12 @@ def test_charge_free_table_matches_reference_across_charges():
                     built = built + fock.apply(kind, k4, vec).scale(w)
                 assert built.terms == want
                 assert local.vanishes(terms) == (not want), (bucket, terms)
-                outcomes.add("zero" if not want else "imaginary" if all(c.a == 0 for c in want.values()) else "other")
-    assert outcomes == {"zero", "imaginary", "other"}
+                outcome = "zero" if not want else "imaginary" if all(c.a == 0 for c in want.values()) else "other"
+                outcomes.add(outcome)
+                if len({kind for _, kind, _, _ in terms}) == 1:
+                    assert factorized(local, terms) == (not want), (bucket, terms)
+                    factorized_outcomes.add(outcome)
+    assert outcomes == factorized_outcomes == {"zero", "imaginary", "other"}
 
     # a vector over two charges: its targets lie in charges 1 and 2
     low, high = random_vector(rng, enumerate_bucket(0, 8)), random_vector(rng, enumerate_bucket(1, 9))
@@ -829,25 +841,63 @@ def test_charge_free_table_matches_reference_across_charges():
         img = fock._apply("a1", n4, both, {})
         assert img.terms == reference_apply(fock, "a1", n4, both)
         assert {c for _, c in img.terms} == {1, 2}
-        assert local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, low), (gr(-1), "a1", n4, high)])
+        terms = [(ONE, "a1", n4, both), (gr(-1), "a1", n4, low), (gr(-1), "a1", n4, high)]
+        assert local.vanishes(terms) and factorized(local, terms)
         # what is left lies in one of the two charges only
-        assert not local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, low)])
-        assert not local.vanishes([(ONE, "a1", n4, both), (gr(-1), "a1", n4, high)])
+        for part in (low, high):
+            terms = [(ONE, "a1", n4, both), (gr(-1), "a1", n4, part)]
+            assert not local.vanishes(terms) and not factorized(local, terms)
+
+
+def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
+    # every combination the quadratic suite builds at cutoff 2, asked of the
+    # records (vanishes) and the factorized test (sum_vanishes); then, where
+    # the last word's image is nonzero, with that word dropped and with its
+    # weight doubled, which leave its image over and so must read nonzero
+    local = _LocalApplier(fock)
+
+    def both(kind, terms):
+        records = local.vanishes([(w, kind, n4, vec) for w, n4, vec in terms])
+        assert local.sum_vanishes(kind, terms) == records
+        return records
+
+    perturbed = 0
+    for bucket in all_buckets(2):
+        c, l = bucket
+        for t4 in range(-8, 25):
+            for fam, kind, words in fock_module._quadratic_sums(t4, l - (c + 1) ** 2, l - (c + 2) ** 2):
+                if words and l - min(b4 for (_, _, b4), _ in words) > 26:
+                    continue  # skipped by the suite
+                for mono in enumerate_bucket(*bucket):
+                    terms = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
+                    assert both(kind, terms), (fam, t4, mono)
+                    if terms and not both(kind, terms[-1:]):
+                        w, a4, vec = terms[-1]
+                        assert not both(kind, terms[:-1]), (fam, t4, mono)
+                        assert not both(kind, terms[:-1] + [(w.scale_frac(2), a4, vec)]), (fam, t4, mono)
+                        perturbed += 1
+    # of the 424 checks, 118 sum over an empty window and 60 over words
+    # whose images are each zero
+    assert perturbed == 424 - 118 - 60
 
 
 # --- fault injection: the reuse hides no mismatch -----------------------------
 
 
 def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
-    kernel = TwistedFock._kernel
+    # a12's annihilation expansion doubled on sources of mode sum >= 12: the
+    # formula the records (brackets) and the factorized sums (quadratic) read
+    annihilation = fock_module._annihilation_terms
 
-    def mutant(self, kind, arg, modes):
-        den, targets, nums = kernel(self, kind, arg, modes)
-        if kind == "a12" and sum(modes) >= 12:
-            nums = [2 * n for n in nums]
-        return den, targets, nums
+    def mutant(modes, f0, f2):
+        terms = annihilation(modes, f0, f2)
+        if (f0, f2) == (-2, 0) and sum(modes) >= 12:
+            terms = [(h4, 2 * fac, left) for h4, fac, left in terms]
+        return terms
 
-    monkeypatch.setattr(TwistedFock, "_kernel", mutant)
+    central = TwistedFock().vertex["a12"]
+    assert (central.f0, central.f2) == (2, 0)
+    monkeypatch.setattr(fock_module, "_annihilation_terms", mutant)
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
     assert not check_quadratic_relations(TwistedFock(), 4, t4_max=12, max_intermediate=16).passed
 
