@@ -10,6 +10,7 @@ All numeric output is integral or an exact rational string; no floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -26,7 +27,6 @@ from .analyzer import (
 )
 from .envelope import check_ideal_stability
 from .fock import (
-    Report,
     TwistedFock,
     check_brackets,
     check_exchange_identity,
@@ -35,19 +35,22 @@ from .fock import (
 )
 from .groups import group_invariant_report
 
-SUITES = (
-    "group",
-    "relations",
-    "brackets",
-    "quadratic",
-    "exchange",
-    "recursion",
-    "oracle",
-    "exactness",
-    "presentation",
-    "morphisms",
-    "stability",
-)
+# suite name -> its run on (engine, principal subspace built on first call,
+# verify arguments), in the default order; each check is looked up by name
+# when it runs
+SUITES = {
+    "group": lambda fock, space, args: group_invariant_report(),
+    "relations": lambda fock, space, args: check_linear_relations(fock, args.cutoff),
+    "brackets": lambda fock, space, args: check_brackets(fock, args.cutoff),
+    "quadratic": lambda fock, space, args: check_quadratic_relations(fock, args.cutoff),
+    "exchange": lambda fock, space, args: check_exchange_identity(fock),
+    "recursion": lambda fock, space, args: check_recursion(space().table()),
+    "oracle": lambda fock, space, args: check_oracle(space().table()),
+    "exactness": lambda fock, space, args: check_exact_sequence(fock, space(), args.exactness_cutoff),
+    "presentation": lambda fock, space, args: check_presentation(fock, space().table(), args.presentation_cutoff),
+    "morphisms": lambda fock, space, args: check_morphisms(fock, args.presentation_cutoff),
+    "stability": lambda fock, space, args: check_ideal_stability(),
+}
 
 
 def _emit_json(doc: dict) -> None:
@@ -93,45 +96,6 @@ def cmd_dims(args) -> int:
     return 0 if all_match else 1
 
 
-def run_suites(names: List[str], cutoff: int, exactness_cutoff: int, presentation_cutoff: int) -> List[Report]:
-    fock = TwistedFock()
-    space: Optional[PrincipalSubspace] = None
-
-    def need_space() -> PrincipalSubspace:
-        nonlocal space
-        if space is None:
-            space = PrincipalSubspace(fock, cutoff)
-        return space
-
-    out = []
-    for name in names:
-        if name == "group":
-            out.append(group_invariant_report())
-        elif name == "relations":
-            out.append(check_linear_relations(fock, cutoff))
-        elif name == "brackets":
-            out.append(check_brackets(fock, cutoff))
-        elif name == "quadratic":
-            out.append(check_quadratic_relations(fock, cutoff))
-        elif name == "exchange":
-            out.append(check_exchange_identity(fock))
-        elif name == "recursion":
-            out.append(check_recursion(need_space().table()))
-        elif name == "oracle":
-            out.append(check_oracle(need_space().table()))
-        elif name == "exactness":
-            out.append(check_exact_sequence(fock, need_space(), exactness_cutoff))
-        elif name == "presentation":
-            out.append(check_presentation(fock, need_space().table(), presentation_cutoff))
-        elif name == "morphisms":
-            out.append(check_morphisms(fock, presentation_cutoff))
-        elif name == "stability":
-            out.append(check_ideal_stability())
-        else:
-            raise ValueError("unknown suite %r" % name)
-    return out
-
-
 def cmd_verify(args) -> int:
     names = args.suites.split(",") if args.suites else list(SUITES)
     for name in names:
@@ -144,7 +108,9 @@ def cmd_verify(args) -> int:
     if args.presentation_cutoff > args.cutoff or args.exactness_cutoff > args.cutoff:
         print("sub-cutoffs must not exceed the global cutoff", file=sys.stderr)
         return 2
-    reports = run_suites(names, args.cutoff, args.exactness_cutoff, args.presentation_cutoff)
+    fock = TwistedFock()
+    space = functools.cache(lambda: PrincipalSubspace(fock, args.cutoff))
+    reports = [SUITES[name](fock, space, args) for name in names]
     doc = {
         "tool_version": __version__,
         "config": {

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockVector, Report, TwistedFock
-from .scalar import GaussianRational, LazyTable, ONE, SparseVector, i_power
+from .scalar import LazyTable, ONE, SparseVector, i_power
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -64,18 +64,6 @@ def bracket_uu_coeff(m4: int, n4: int) -> Optional[Fraction]:
     if (m4 + n4) % 4:
         return None
     return Fraction(-1, 2) if m4 % 4 == 1 else Fraction(1, 2)
-
-
-def bracket(a: "ModeGen", b: "ModeGen") -> "EnvElement":
-    """Lie bracket of two mode generators; the central modes kill every
-    bracket, and two simple modes meet in a central mode when their index
-    sum is integral."""
-    if a.label == "z" or b.label == "z":
-        return EnvElement()
-    coeff = bracket_uu_coeff(a.n4, b.n4)
-    if coeff is None:
-        return EnvElement()
-    return EnvElement.monomial([a.n4 + b.n4], [], GaussianRational(coeff))
 
 
 def monomial_charge(mono: PBWMonomial) -> int:
@@ -310,11 +298,6 @@ def _generator_keys(max_qweight4: int) -> List[Tuple[str, int]]:
     ]
 
 
-def generator_list(max_qweight4: int) -> List[Tuple[str, int, EnvElement]]:
-    """All ideal generators of quarter-weight at most the bound."""
-    return [(kind, t4, make_R0(kind, t4)) for kind, t4 in _generator_keys(max_qweight4)]
-
-
 @functools.lru_cache(maxsize=None)
 def _weight_multisets(step: int, total4: int, count: int, max4: int) -> Tuple[Tuple[int, ...], ...]:
     """Multisets of count positive quarter-weights summing to total4,
@@ -389,9 +372,6 @@ class IdealSlice:
         self._dressed = LazyTable(lambda key: _dress(*key, slack4))
         # (charge, qweight4) -> its PBW monomials
         self._monomials = LazyTable(lambda key: tuple(pbw_monomials(*key)))
-
-    def dressed_generators(self, max_qweight4: int) -> List[EnvElement]:
-        return [h for key in _generator_keys(max_qweight4) for h, _ in self._dressed[key]]
 
     def bucket_span(self, charge: int, qweight4: int) -> List[EnvElement]:
         """Spanning set of the ideal's projection in one graded piece: each

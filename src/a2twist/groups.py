@@ -122,9 +122,6 @@ class TauTable:
             raise ValueError("element does not lie over the degenerate sublattice")
         return i_power((a.phase + self.exp_on_multiple(a.vec.m)) % 4)
 
-    def generator_value(self) -> GaussianRational:
-        return i_power(self._gen_exp)
-
 
 def _nu_pow(v: LatticeVector, j: int) -> LatticeVector:
     return v if j % 2 == 0 else nu(v)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import GaussianRational, i_power
-
 K = 4  # period of the isometry; twice its order, forced by the evenness condition
 
 
@@ -106,14 +104,6 @@ def commutator_C_exp(a: LatticeVector, b: LatticeVector) -> int:
     return e % 4
 
 
-def commutator_C0(a: LatticeVector, b: LatticeVector) -> GaussianRational:
-    return i_power(commutator_C0_exp(a, b))
-
-
-def commutator_C(a: LatticeVector, b: LatticeVector) -> GaussianRational:
-    return i_power(commutator_C_exp(a, b))
-
-
 def eps0_exp(a: LatticeVector, b: LatticeVector) -> int:
     """The particular bilinear 2-cocycle for the straight extension.
 
@@ -131,52 +121,3 @@ def epsC_exp(a: LatticeVector, b: LatticeVector) -> int:
     and (-i)^(-x) = i^x.
     """
     return (gram(nu(a), b) + eps0_exp(a, b)) % 4
-
-
-def cocycle_eps0(a: LatticeVector, b: LatticeVector) -> GaussianRational:
-    return i_power(eps0_exp(a, b))
-
-
-def cocycle_epsC(a: LatticeVector, b: LatticeVector) -> GaussianRational:
-    return i_power(epsC_exp(a, b))
-
-
-def in_sublattice_N(a: LatticeVector) -> bool:
-    """N = orthogonal complement of the fixed eigenspace, = Z*(alpha1-alpha2)."""
-    return a.m + a.n == 0
-
-
-def commutator_CN_exp(a: LatticeVector, b: LatticeVector) -> int:
-    # On N the alternating-sign part of C drops out, leaving eta^sum(j <nu^j a, b>).
-    e = 0
-    x = a
-    for j in range(K):
-        e += j * gram(x, b)
-        x = nu(x)
-    return e % 4
-
-
-def sublattices_NMR() -> dict:
-    """Describe N, M, R and verify their defining conditions by scanning.
-
-    Returns generator data plus the checks: M = (1-nu)L lands on even
-    multiples scan, C_N trivial on N, and R = N under C_N.
-    """
-    gen = MU
-    grid = [LatticeVector(m, n) for m in range(-3, 4) for n in range(-3, 4)]
-    n_members = [v for v in grid if in_sublattice_N(v)]
-    cn_trivial = all(
-        commutator_CN_exp(a, b) == 0 for a in n_members for b in n_members
-    )
-    # M = (1 - nu)L: images of the grid under 1 - nu all lie in Z*gen and
-    # the generator itself is hit.
-    images = {(v - nu(v)) for v in grid}
-    m_inside = all(in_sublattice_N(w) for w in images)
-    m_onto_gen = gen in images
-    return {
-        "generator": gen,
-        "N_equals_M_equals_R": cn_trivial and m_inside and m_onto_gen,
-        "C_N_trivial": cn_trivial,
-        "M_inside_N": m_inside,
-        "M_contains_generator": m_onto_gen,
-    }

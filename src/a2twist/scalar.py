@@ -267,39 +267,6 @@ class ExactMatrix:
         else:
             self.entries[pos] = val
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = ExactMatrix(self.rows, other.cols)
-        by_row = {}
-        for (r, c), val in other.entries.items():
-            by_row.setdefault(r, []).append((c, val))
-        acc = {}
-        for (r, k), val in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, ZERO) + val * w
-        for key, val in acc.items():
-            out[key] = val
-        return out
-
-    def scale(self, s) -> "ExactMatrix":
-        out = ExactMatrix(self.rows, self.cols)
-        for pos, val in self.entries.items():
-            out[pos] = val * s
-        return out
-
     def rank(self) -> int:
         """The number of columns an EchelonBasis keeps."""
         columns = [SparseVector() for _ in range(self.cols)]

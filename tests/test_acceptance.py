@@ -26,6 +26,7 @@ from a2twist.fock import (
     check_quadratic_relations,
 )
 from a2twist.groups import group_invariant_report
+from test_fock import aliased_brackets
 
 TABLE_CUTOFF = 40
 EXACTNESS_CUTOFF = 30
@@ -73,7 +74,7 @@ def test_criterion_03_linear_relations(fock):
 def test_criterion_04_bracket_table(fock):
     rep = check_brackets(fock, RELATION_CUTOFF, max_mode4=BRACKET_MODE_BOUND)
     _announce("bracket table equals operator commutators, modes |4n| <= 12, qweight 24", rep)
-    rep2 = check_brackets(fock, 12, max_mode4=8, direct=True)
+    rep2 = aliased_brackets(fock, 12, max_mode4=8)
     _announce("bracket table, direct recomputation of aliased families at qweight 12", rep2)
 
 

@@ -18,7 +18,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 CALLS = [
     ["dims", "--cutoff", "8", "--format", "json"],
     [
-        "verify", "--suites", "relations,brackets,quadratic,presentation,morphisms,stability",
+        "verify", "--suites", "relations,brackets,quadratic,exchange,presentation,morphisms,stability",
         "--cutoff", "4", "--presentation-cutoff", "4", "--format", "json",
     ],
 ]
@@ -64,6 +64,10 @@ def test_traced_run_reports_every_layer_metric(perfbench, capsys):
     }
     assert set(metrics) == from_layers
     assert metrics["scalar.inserts"] > 0 and metrics["fock.image_requests"] > 0
+    # a suite hook that never fires (the CLI calling a check it bound before
+    # the tracer rebound it) reads 0 s while the hook itself stays alive
+    suites = CALLS[1][CALLS[1].index("--suites") + 1].split(",")
+    assert all(metrics["suite.%s.s" % suite] > 0 for suite in suites), metrics
 
 
 def test_kernel_microbenchmarks_find_their_entry_points(perfbench, capsys):

@@ -10,10 +10,9 @@ from a2twist.envelope import (
     R1,
     R12,
     R121,
-    bracket,
+    _generator_keys,
     bracket_uu_coeff,
     check_ideal_stability,
-    generator_list,
     make_R0,
     monomial_charge,
     monomial_negative,
@@ -34,6 +33,11 @@ def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+def generator_list(max_qweight4):
+    """All ideal generators of quarter-weight at most the bound."""
+    return [(kind, t4, make_R0(kind, t4)) for kind, t4 in _generator_keys(max_qweight4)]
+
+
 def test_mode_gen_parity_checked():
     ModeGen.u(-1)
     ModeGen.z(-4)
@@ -48,9 +52,14 @@ def test_bracket_classes():
     assert bracket_uu_coeff(-1, -3) == Fraction(1, 2)
     assert bracket_uu_coeff(-1, -5) is None  # sum not integral
     assert bracket_uu_coeff(1, -1) == Fraction(-1, 2)
-    assert bracket(ModeGen.u(-1), ModeGen.u(-3)) == EnvElement.monomial([-4], [], gr(Fraction(1, 2)))
-    assert bracket(ModeGen.u(-1), ModeGen.u(-5)).is_zero()
-    assert bracket(ModeGen.z(-4), ModeGen.u(-1)).is_zero()
+    # [u(-1/4), u(-3/4)] = (1/2) z(-1), [u(-1/4), u(-5/4)] = 0, and z is central
+    def u(n4):
+        return EnvElement.monomial([], [n4])
+
+    z = EnvElement.monomial([-4], [])
+    assert u(-1) * u(-3) - u(-3) * u(-1) == EnvElement.monomial([-4], [], gr(Fraction(1, 2)))
+    assert (u(-1) * u(-5) - u(-5) * u(-1)).is_zero()
+    assert (z * u(-1) - u(-1) * z).is_zero()
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -398,7 +407,8 @@ def test_dressed_generators_match_per_weight_construction():
     for slack in (0, 4):
         slice_ = IdealSlice(slack4=slack)
         for l in list(range(17)) + [9, 3]:
-            assert slice_.dressed_generators(l) == _dressed_per_weight(l, slack), (slack, l)
+            dressed = [h for key in _generator_keys(l) for h, _ in slice_._dressed[key]]
+            assert dressed == _dressed_per_weight(l, slack), (slack, l)
         assert len(slice_._dressed) == len(generator_list(16))
 
 

@@ -11,11 +11,13 @@ import a2twist.fock as fock_module
 from a2twist.fock import (
     GRAM_NORM,
     FockVector,
+    Report,
     TwistedFock,
     _MODES,
     _LocalApplier,
     _pack,
     all_buckets,
+    bracket_coeff,
     bucket_exists,
     check_brackets,
     check_exchange_identity,
@@ -23,13 +25,14 @@ from a2twist.fock import (
     check_quadratic_relations,
     component_sign,
     enumerate_bucket,
+    exchange_series,
     monomial_qweight,
     self_bracket_coeff,
     sigma_factor,
 )
 from a2twist.groups import HAT_LNU, CosetModel, section
-from a2twist.lattice import ALPHA1, ALPHA2, THETA, gram, project_lattice
-from a2twist.scalar import GaussianRational, ONE, i_power
+from a2twist.lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, project_lattice
+from a2twist.scalar import GaussianRational, ONE, ZERO, i_power
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +141,10 @@ def test_linear_relations_small(fock):
     assert rep.checked > 100
     # component coincidence, explicit instance
     b = (0, 0)
-    assert fock.matrix("a2", -1, b) == fock.matrix("a1", -1, b).scale(gr(-1))
-    assert fock.matrix("a2", -3, b) == fock.matrix("a1", -3, b)
-    assert fock.matrix("a1", -2, b).is_zero()
-    assert fock.matrix("a12", -2, b).is_zero()
+    assert fock.matrix("a2", -1, b).entries == {pos: -x for pos, x in fock.matrix("a1", -1, b).entries.items()}
+    assert fock.matrix("a2", -3, b).entries == fock.matrix("a1", -3, b).entries
+    assert fock.matrix("a1", -2, b).entries == {}
+    assert fock.matrix("a12", -2, b).entries == {}
 
 
 def test_self_bracket_coefficient_classes():
@@ -150,9 +153,42 @@ def test_self_bracket_coefficient_classes():
     assert self_bracket_coeff(1) == gr(Fraction(-1, 2))
 
 
+def aliased_brackets(fock, cutoff, max_mode4):
+    """The (a1, a2), (a2, a1) and (a2, a2) families of the bracket table,
+    which check_brackets derives from the (a1, a1) family by sign
+    arithmetic, recomputed as operator composites on each basis vector of
+    every bucket, through one sweep's _LocalApplier."""
+    rep = Report("bracket-table-aliased")
+    odd = [n for n in range(-max_mode4, max_mode4 + 1) if n % 2]
+    local = _LocalApplier(fock)
+    for bucket in all_buckets(cutoff):
+        l = bucket[1]
+        local.units.clear()
+        for left, right in (("a1", "a2"), ("a2", "a1"), ("a2", "a2")):
+            for m4 in odd:
+                for n4 in odd:
+                    if (left == right and n4 > m4) or max(l - m4, l - n4, l - m4 - n4) > cutoff:
+                        continue
+                    # [left(m4), right(n4)] - coeff * a12(m4 + n4) on each basis vector
+                    coeff = bracket_coeff(left, right, m4)
+                    ok = all(
+                        local.vanishes(
+                            [
+                                (ONE, left, m4, local.unit_image(right, n4, mono)),
+                                (gr(-1), right, n4, local.unit_image(left, m4, mono)),
+                                (-coeff, "a12", m4 + n4, FockVector.unit(mono)),
+                            ]
+                        )
+                        for mono in enumerate_bucket(*bucket)
+                    )
+                    rep.record(ok, {"bracket": (left, m4, right, n4), "bucket": bucket})
+    return rep
+
+
 def test_bracket_table_small(fock):
-    rep = check_brackets(fock, 10, max_mode4=8, direct=True)
-    assert rep.passed
+    assert check_brackets(fock, 10, max_mode4=8).passed
+    rep = aliased_brackets(fock, 10, max_mode4=8)
+    assert rep.passed and rep.checked > 100
     # explicit commutator instance on the vacuum
     vac = fock.vacuum()
     lhs = fock.apply("a1", -1, fock.apply("a1", -3, vac)) - fock.apply(
@@ -213,6 +249,19 @@ def test_exchange_identity(fock):
     assert rep.checked > 50
 
 
+def test_exchange_series_for_minus_beta_is_the_inverse():
+    # negating beta negates every exponent, so the two series multiply to 1;
+    # the grid meets exponents of both signs, so factors are both multiplied
+    # in and divided out
+    order = 12
+    grid = [LatticeVector(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+    for alpha in grid:
+        for beta in grid:
+            f, g = exchange_series(alpha, beta, order), exchange_series(alpha, -beta, order)
+            product = [sum((f[j] * g[k - j] for j in range(k + 1)), ZERO) for k in range(order + 1)]
+            assert product == [ONE] + [ZERO] * order, (alpha, beta)
+
+
 def test_raising_operator(fock):
     vac = fock.vacuum()
     coset1 = FockVector.unit(((), 1))
@@ -226,17 +275,17 @@ def test_raising_operator(fock):
 
 
 def test_raising_intertwines_components(fock):
-    # e x_a(m) = C(a, -a1) x_a(m - <P0 a, a1>) e, as matrices
+    # e x_a(m) = C(a, -a1) x_a(m - <P0 a, a1>) e, on each basis monomial
     for bucket in ((0, 0), (1, 3), (0, 4)):
         for key, c_factor, shift in (("a1", ONE, 2), ("a2", gr(-1), 2), ("a12", gr(-1), 4)):
             for m4 in (-5, -4, -1, 1):
                 if key == "a12" and m4 % 4:
                     continue
-                b1 = fock.target_bucket(key, m4, bucket)
-                lhs = fock.matrix("e1", 0, b1) * fock.matrix(key, m4, bucket)
-                b2 = fock.target_bucket("e1", 0, bucket)
-                rhs = (fock.matrix(key, m4 - shift, b2) * fock.matrix("e1", 0, bucket)).scale(c_factor)
-                assert lhs == rhs
+                for mono in enumerate_bucket(*bucket):
+                    v = FockVector.unit(mono)
+                    lhs = fock.apply("e1", 0, fock.apply(key, m4, v))
+                    rhs = fock.apply(key, m4 - shift, fock.apply("e1", 0, v)).scale(c_factor)
+                    assert lhs == rhs, (bucket, key, m4, mono)
 
 
 def test_lowering_operator(fock):
@@ -701,7 +750,8 @@ def test_relations_catch_a_nonvanishing_half_integer_mode(monkeypatch):
 
 def test_sweeps_leave_the_engine_cache_empty():
     fock = TwistedFock()
-    assert check_brackets(fock, 10, max_mode4=8, direct=True).passed
+    assert check_brackets(fock, 10, max_mode4=8).passed
+    assert aliased_brackets(fock, 10, max_mode4=8).passed
     assert check_quadratic_relations(fock, 4, t4_max=12, max_intermediate=16).passed
     assert fock._mono_cache == {}
 

@@ -16,7 +16,7 @@ from a2twist.groups import (
     nu_hat,
     section,
 )
-from a2twist.lattice import ALPHA1, ALPHA2, MU, THETA, K, LatticeVector, commutator_C, commutator_C0, gram, nu
+from a2twist.lattice import ALPHA1, ALPHA2, MU, THETA, K, LatticeVector, commutator_C0_exp, commutator_C_exp, gram, nu
 from a2twist.scalar import GaussianRational, I, ONE, i_power
 
 GRID = [LatticeVector(m, n) for m in range(-2, 3) for n in range(-2, 3)]
@@ -49,9 +49,9 @@ def test_commutator_recovers_maps():
     for a in GRID:
         for b in GRID:
             x, y = section(a, HAT_L), section(b, HAT_L)
-            assert ext_commutator(x, y) == commutator_C0(a, b)
+            assert ext_commutator(x, y) == i_power(commutator_C0_exp(a, b))
             x, y = section(a, HAT_LNU), section(b, HAT_LNU)
-            assert ext_commutator(x, y) == commutator_C(a, b)
+            assert ext_commutator(x, y) == i_power(commutator_C_exp(a, b))
 
 
 def test_lift_examples():
@@ -108,8 +108,8 @@ def test_tau_generator_unique_and_matches():
     candidates = brute_force_tau_generator()
     assert len(candidates) == 1
     tau = TauTable()
-    assert tau.generator_value() == i_power(candidates[0])
-    assert tau.generator_value() == GaussianRational(0, -1)
+    assert tau.value(section(MU, HAT_LNU)) == i_power(candidates[0])
+    assert tau.value(section(MU, HAT_LNU)) == GaussianRational(0, -1)
 
 
 def test_tau_values():

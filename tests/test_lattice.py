@@ -8,18 +8,15 @@ from a2twist.lattice import (
     K,
     LatticeVector,
     RationalHVector,
-    commutator_C,
-    commutator_C0,
-    cocycle_eps0,
-    cocycle_epsC,
+    commutator_C0_exp,
+    commutator_C_exp,
     eps0_exp,
+    epsC_exp,
     gram,
     nu,
     project,
     project_lattice,
-    sublattices_NMR,
 )
-from a2twist.scalar import GaussianRational, ONE
 
 GRID = [LatticeVector(m, n) for m in range(-3, 4) for n in range(-3, 4)]
 
@@ -66,24 +63,25 @@ def test_projections_resolve_identity():
 
 
 def test_commutator_values():
-    assert commutator_C0(ALPHA1, ALPHA2) == GaussianRational(-1)
-    assert commutator_C0(ALPHA1, ALPHA1) == ONE
-    assert commutator_C0(ALPHA1, THETA) == GaussianRational(-1)
-    assert commutator_C(ALPHA1, ALPHA1) == ONE
-    assert commutator_C(ALPHA1, ALPHA2) == GaussianRational(-1)
-    assert commutator_C(ALPHA1, -ALPHA1) == ONE
+    # exponents of i: 2 is the sign -1
+    assert commutator_C0_exp(ALPHA1, ALPHA2) == 2
+    assert commutator_C0_exp(ALPHA1, ALPHA1) == 0
+    assert commutator_C0_exp(ALPHA1, THETA) == 2
+    assert commutator_C_exp(ALPHA1, ALPHA1) == 0
+    assert commutator_C_exp(ALPHA1, ALPHA2) == 2
+    assert commutator_C_exp(ALPHA1, -ALPHA1) == 0
 
 
 def test_commutators_bilinear_alternating_invariant():
     for a in GRID:
-        assert commutator_C(a, a) == ONE
-        assert commutator_C0(a, a) == ONE
+        assert commutator_C_exp(a, a) == 0
+        assert commutator_C0_exp(a, a) == 0
     for a in GRID[::3]:
         for b in GRID[::3]:
             for c in GRID[::5]:
-                assert commutator_C(a + b, c) == commutator_C(a, c) * commutator_C(b, c)
-                assert commutator_C0(a, b + c) == commutator_C0(a, b) * commutator_C0(a, c)
-            assert commutator_C(nu(a), nu(b)) == commutator_C(a, b)
+                assert commutator_C_exp(a + b, c) == (commutator_C_exp(a, c) + commutator_C_exp(b, c)) % 4
+                assert commutator_C0_exp(a, b + c) == (commutator_C0_exp(a, b) + commutator_C0_exp(a, c)) % 4
+            assert commutator_C_exp(nu(a), nu(b)) == commutator_C_exp(a, b)
 
 
 def test_evenness_of_twisted_norm():
@@ -93,39 +91,47 @@ def test_evenness_of_twisted_norm():
 
 
 def test_cocycle_values():
-    assert cocycle_eps0(ALPHA1, ALPHA2) == ONE
-    assert cocycle_eps0(ALPHA2, ALPHA1) == GaussianRational(-1)
-    assert cocycle_eps0(ALPHA1, -ALPHA1) == ONE
-    assert cocycle_eps0(ALPHA2, -ALPHA2) == ONE
-    assert cocycle_epsC(ALPHA1, ALPHA2) == GaussianRational(-1)
-    assert cocycle_epsC(ALPHA2, ALPHA1) == ONE
+    assert eps0_exp(ALPHA1, ALPHA2) == 0
+    assert eps0_exp(ALPHA2, ALPHA1) == 2
+    assert eps0_exp(ALPHA1, -ALPHA1) == 0
+    assert eps0_exp(ALPHA2, -ALPHA2) == 0
+    assert epsC_exp(ALPHA1, ALPHA2) == 2
+    assert epsC_exp(ALPHA2, ALPHA1) == 0
 
 
 def test_cocycle_identity_and_quotients():
     for a in GRID[::2]:
         for b in GRID[::2]:
-            assert cocycle_eps0(a, b) * cocycle_eps0(b, a).inverse() == commutator_C0(a, b)
-            assert cocycle_epsC(a, b) * cocycle_epsC(b, a).inverse() == commutator_C(a, b)
+            assert (eps0_exp(a, b) - eps0_exp(b, a)) % 4 == commutator_C0_exp(a, b)
+            assert (epsC_exp(a, b) - epsC_exp(b, a)) % 4 == commutator_C_exp(a, b)
             for c in GRID[::4]:
-                lhs = cocycle_eps0(a, b) * cocycle_eps0(a + b, c)
-                rhs = cocycle_eps0(b, c) * cocycle_eps0(a, b + c)
-                assert lhs == rhs
+                lhs = eps0_exp(a, b) + eps0_exp(a + b, c)
+                rhs = eps0_exp(b, c) + eps0_exp(a, b + c)
+                assert lhs % 4 == rhs % 4
 
 
 def test_eps0_square_one_and_flip():
     for a in GRID:
         for b in GRID:
-            v = cocycle_eps0(a, b)
-            assert v * v == ONE
-            assert v == cocycle_eps0(nu(b), nu(a))
-            assert eps0_exp(a, b) in (0, 2)
+            e = eps0_exp(a, b)
+            assert (2 * e) % 4 == 0
+            assert e == eps0_exp(nu(b), nu(a))
+            assert e in (0, 2)
+
+
+def commutator_CN_exp(a, b):
+    # on N the alternating-sign part of C drops out, leaving eta^sum(j <nu^j a, b>)
+    return sum(j * gram(a if j % 2 == 0 else nu(a), b) for j in range(K)) % 4
 
 
 def test_sublattices():
-    report = sublattices_NMR()
-    assert report["generator"] == MU
-    assert report["N_equals_M_equals_R"]
-    assert report["C_N_trivial"]
+    # N, the orthogonal complement of the fixed eigenspace, is Z*MU; M = (1 - nu)L
+    # lies in N and contains MU; C_N is trivial on N, so R = N as well
+    n_members = [v for v in GRID if v.m + v.n == 0]
+    assert n_members == [MU.scaled(s) for s in range(-3, 4)]
+    assert all(commutator_CN_exp(a, b) == 0 for a in n_members for b in n_members)
+    images = {v - nu(v) for v in GRID}
+    assert all(w.m + w.n == 0 for w in images)
+    assert MU in images
     # membership: theta is not orthogonal to the fixed eigenspace
     assert THETA.m + THETA.n != 0
-    assert (MU.scaled(-2)).m + (MU.scaled(-2)).n == 0

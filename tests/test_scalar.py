@@ -61,6 +61,18 @@ def transposed(m):
     return ExactMatrix(m.cols, m.rows, {(c, r): val for (r, c), val in m.entries.items()})
 
 
+def product(left, right):
+    """The matrix product left * right."""
+    by_row = {}
+    for (r, c), val in right.entries.items():
+        by_row.setdefault(r, []).append((c, val))
+    acc = {}
+    for (r, k), val in left.entries.items():
+        for c, w in by_row.get(k, ()):
+            acc[r, c] = acc.get((r, c), ZERO) + val * w
+    return ExactMatrix(left.rows, right.cols, acc)
+
+
 def test_rank_examples():
     identity = ExactMatrix(3, 3, {(j, j): ONE for j in range(3)})
     assert identity.rank() == 3
@@ -99,7 +111,7 @@ def test_rank_transpose_and_nullity():
                 if c != j:
                     left[j, c] = ZERO
                     right[c, j] = ZERO
-        prod = left * right
+        prod = product(left, right)
         assert prod.rank() == transposed(prod).rank() == k
 
 
