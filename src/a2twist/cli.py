@@ -26,14 +26,9 @@ from .analyzer import (
     partition_oracle,
 )
 from .envelope import check_ideal_stability
-from .fock import (
-    TwistedFock,
-    check_brackets,
-    check_exchange_identity,
-    check_linear_relations,
-    check_quadratic_relations,
-)
+from .fock import TwistedFock
 from .groups import group_invariant_report
+from .suites import check_brackets, check_exchange_identity, check_linear_relations, check_quadratic_relations
 
 # suite name -> its run on (engine, principal subspace built on first call,
 # verify arguments), in the default order; each check is looked up by name

@@ -20,8 +20,9 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fock import FockVector, Report, TwistedFock
+from .fock import FockVector, TwistedFock
 from .scalar import LazyTable, ONE, SparseVector, i_power
+from .suites import Report
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]

@@ -1,7 +1,8 @@
 """The twisted Fock space: mode monomials bucketed by (charge, quarter-weight),
 the twisted Heisenberg action, vertex operator components as exact maps, the
 charge-raising group operator, the constant-term lowering operator, and the
-mode-relation / bracket / quadratic-relation checkers.
+operator application and zero tests the verification sweeps (suites.py) run
+on.
 
 Conventions.  Mode indices are integers in quarter units; a Heisenberg
 quantum is stored as its positive quarter-weight, so entries that are 0 mod 4
@@ -16,13 +17,13 @@ import functools
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
-from operator import itemgetter
+from math import comb, factorial, gcd, isqrt, lcm
+from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
 from .lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, nu, project_lattice
-from .scalar import ExactMatrix, GaussianRational, LazyTable, ONE, SparseVector, ZERO, _reduced, i_power
+from .scalar import ExactMatrix, GaussianRational, LazyTable, ONE, SparseVector, _reduced, i_power
 
 FockMonomial = Tuple[Tuple[int, ...], int]  # (quanta sorted descending, coset charge)
 BucketKey = Tuple[int, int]  # (charge, quarter-weight)
@@ -298,6 +299,110 @@ def _record(den: int, targets: tuple, nums) -> tuple:
         return den, targets, tuple(nums)
 
 
+# --- packed kernels -------------------------------------------------------------
+#
+# The relation and bracket zero tests read a vertex kernel as one int: the
+# numerator n of target t at n * 2^(K * slot(t)), slot(t) the index of t
+# among the multisets of its weight (in _even_partitions order), over
+# D(kind, w), the lcm of the creation denominators of the degrees up to the
+# target weight w.  A kernel's denominator divides D, and the kernels that
+# land in one bucket share D and the slot order, so a sum of them with
+# integer scalars is the packed sum of their numerators: C big-int products
+# in place of one dict update per target.  Such a sum is zero exactly when
+# every digit is, which it decides as long as no digit can reach 2^(K-1).
+
+_SLOT_BITS = 64  # digit width a sweep starts at; it doubles where a sum could carry
+
+
+def _slot_order(w: int) -> Tuple[tuple, Dict[int, int]]:
+    order = _interned(tuple(map(_pack, _even_partitions(w, max(w, 2), False))))
+    return order, {t: k for k, t in enumerate(order)}
+
+
+_SLOTS = LazyTable(_slot_order)  # weight -> (its multisets in slot order, {multiset: slot})
+
+
+def _uniform_den(data: VertexData, w: int) -> int:
+    """D: the lcm of the creation denominators of the degrees up to w."""
+    return lcm(*(_creation_terms(data.f0, data.f2, g4)[0] for g4 in range(0, w + 1, 2)))
+
+
+class _Carry(Exception):
+    """A packed digit could reach half the slot width."""
+
+
+def _packed_kernel(fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, off: dict, multiset: int):
+    """fock._kernel(kind, arg, multiset) as one int of width-bit digits over
+    D(kind, target weight), read from dens, the widest numerator's bit
+    length kept in bits[0].  A kernel whose targets do not all weigh the multiset's weight
+    plus arg, or whose denominator does not divide D, is kept in off as
+    {target weight: (packed, denominator)}, and None stands for it.  Raises
+    _Carry when a numerator could fill its digit."""
+    den, targets, nums = fock._kernel(kind, arg, _MODES[multiset])
+    parts: Dict[int, int] = {}
+    for t, n in zip(targets, nums):
+        w = _WEIGHTS[t]
+        parts[w] = parts.get(w, 0) + (n << width * _SLOTS[w][1][t])
+    top = max(map(abs, nums), default=0)
+    out = {}
+    for w, packed in parts.items():
+        d = lcm(den, dens[kind, w])
+        b = (top * (d // den)).bit_length()
+        if b >= width - 1:
+            raise _Carry
+        bits[0] = max(bits[0], b)
+        out[w] = (packed * (d // den), d)
+    w = _WEIGHTS[multiset] + arg
+    if not out:
+        return 0
+    if list(out) == [w] and out[w][1] == dens[kind, w]:
+        return out[w][0]
+    off[kind, arg, multiset] = out
+    return None
+
+
+def _unpack(packed: int, w: int, width: int) -> Tuple[list, list]:
+    """The nonzero digits of a packed kernel of target weight w: (targets,
+    numerators)."""
+    order = _SLOTS[w][0]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    targets, nums = [], []
+    slot = 0
+    while packed:
+        n = packed & mask
+        if n >= half:
+            n -= mask + 1
+        if n:
+            targets.append(order[slot])
+            nums.append(n)
+        packed = (packed - n) >> width
+        slot += 1
+    return targets, nums
+
+
+def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
+    """(targets, numerators, sum of |numerators|) of the packed kernel
+    table[multiset], or () if it is off its weight."""
+    packed = table[multiset]
+    if packed is None:
+        return ()
+    targets, nums = _unpack(packed, _WEIGHTS[multiset] + arg, width)
+    return targets, nums, sum(map(abs, nums))
+
+
+def _rows(scalars) -> Tuple[list, list, list]:
+    """Scalars (a, b, d), each (a + b*i)/d, over their common denominator
+    with their common content divided out: the real parts, the imaginary
+    parts and max(|re|, |im|) of each."""
+    den = lcm(*(d for _, _, d in scalars))
+    re = [a * (den // d) for a, _, d in scalars]
+    im = [b * (den // d) for _, b, d in scalars]
+    content = gcd(*re, *im) or 1
+    re = [x // content for x in re]
+    im = [x // content for x in im]
+    return re, im, [max(abs(x), abs(y)) for x, y in zip(re, im)]
+
+
 def _decoded(accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]], den: int) -> FockVector:
     """The vector of accumulated numerators ({target charge: ({packed target:
     re}, {packed target: im})}, den): each surviving target decoded and
@@ -342,19 +447,22 @@ class TwistedFock:
     # must add beyond what the annihilating one removes, so one kernel
     # serves every charge whose mode and x-power give the same degree.
     #
-    # There are two ways to apply a vertex component.  Per-monomial records
-    # (_accumulate) serve the relation and bracket sweeps and the sweeps'
-    # first-level unit images: a record's whole image is re-read (about 20
-    # times over the relation and bracket sweeps at cutoff 16), or the
-    # sources are single monomials.  Annihilate, merge, create (_convolve)
-    # serves apply, apply_batch and the quadratic zero tests: the leftovers
-    # of all the source monomials of a sum of one kind meet before one
-    # creating exponential, and only the annihilation expansions are kept,
-    # in a table the caller may hold across calls (dims keeps one per
-    # charge level: at cutoff 32 it builds 2 041 expansions and reads each
-    # about 9 times; at cutoff 2 the quadratic sums add 188 705 leftover
-    # terms, and 90 merged leftovers survive to be created).  e1, dT, b0
-    # and b2 have one-monomial records only.
+    # There are three ways to apply a vertex component.  Packed kernels
+    # (_packed_kernel, which _LocalApplier.bucket_vanishes reads) serve the
+    # relation and bracket zero tests: a kernel is one int, re-read about 20
+    # times over those sweeps at cutoff 16, an inner image's numerators
+    # scale whole outer kernels in C, and no target is decoded.
+    # Per-monomial records (_accumulate) serve the quadratic sweep's
+    # first-level unit images, whose sources are single monomials.
+    # Annihilate, merge, create (_convolve) serves apply, apply_batch and
+    # the quadratic zero tests: the leftovers of all the source monomials of
+    # a sum of one kind meet before one creating exponential, and only the
+    # annihilation expansions are kept, in a table the caller may hold
+    # across calls (dims keeps one per charge level: at cutoff 32 it builds
+    # 2 041 expansions and reads each about 9 times; at cutoff 2 the
+    # quadratic sums add 188 705 leftover terms, and 90 merged leftovers
+    # survive to be created).  e1, dT, b0 and b2 have one-monomial records
+    # only.
 
     def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
         data = self.vertex.get(kind)
@@ -593,120 +701,175 @@ class TwistedFock:
         return FockVector.unit(VACUUM)
 
 
-# --- reporting ----------------------------------------------------------------
-
-
-class Report:
-    """Outcome of one verification suite; a suite that checked nothing fails."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.mismatched = False
-        self.checked = 0
-        self.failures: List[dict] = []
-        self.details: Dict[str, object] = {}
-
-    @property
-    def passed(self) -> bool:
-        return self.checked > 0 and not self.mismatched
-
-    def record(self, ok: bool, failure: Optional[dict] = None) -> None:
-        self.checked += 1
-        if not ok:
-            self.mismatched = True
-            if failure is not None and len(self.failures) < 10:
-                self.failures.append(failure)
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed, "checked": self.checked}
-        if self.details:
-            out["details"] = self.details
-        if self.failures:
-            out["first_failures"] = self.failures
-        return out
-
-
-# --- mode relation checks -------------------------------------------------------
-
-
-def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
-    """Vanishing and coincidence relations among the component operators:
-    both simple-vector components vanish at half-integer modes, coincide up
-    to the mode-class sign at quarter modes, and the highest-vector
-    component vanishes off integer modes.  Each relation is checked on the
-    images of the bucket's basis vectors by integer zero tests, through one
-    image table for the sweep, freed when the suite returns."""
-    rep = Report("linear-relations")
-    local = _LocalApplier(fock)
-    for bucket in all_buckets(cutoff):
-        c, l = bucket
-        units = [FockVector.unit(mono) for mono in enumerate_bucket(*bucket)]
-
-        def vanishes(key: str, n4: int) -> bool:
-            return all(local.vanishes([(ONE, key, n4, u)]) for u in units)
-
-        for n4 in range(l - cutoff, l + 5):
-            if n4 % 2 == 0:
-                for key in ("a1", "a2"):
-                    rep.record(
-                        vanishes(key, n4),
-                        {"relation": "half-integer-vanishing", "bucket": bucket, "n4": n4, "op": key},
-                    )
-                if n4 % 4 == 2:
-                    rep.record(
-                        vanishes("a12", n4),
-                        {"relation": "sum-vector-integer-only", "bucket": bucket, "n4": n4},
-                    )
-            else:
-                sign = component_sign(n4)
-                minus_sign = GaussianRational(-sign)
-                ok = all(local.vanishes([(ONE, "a2", n4, u), (minus_sign, "a1", n4, u)]) for u in units)
-                rep.record(
-                    ok, {"relation": "component-coincidence", "bucket": bucket, "n4": n4, "sign": sign}
-                )
-    return rep
-
-
-def self_bracket_coeff(m4: int) -> GaussianRational:
-    """-(i/4) * (i^(-4m) - (-i)^(-4m)) with the first factor's mode index."""
-    return GaussianRational(0, Fraction(-1, 4)) * (i_power(-m4) - i_power(m4))
-
-
-def bracket_coeff(left: str, right: str, m4: int) -> GaussianRational:
-    if left == "a1" and right == "a2":
-        return GaussianRational(Fraction(1, 2))
-    if left == "a2" and right == "a1":
-        return GaussianRational(Fraction(-1, 2))
-    if left == right == "a1":
-        return self_bracket_coeff(m4)
-    if left == right == "a2":
-        return -self_bracket_coeff(m4)
-    raise ValueError((left, right))
+# --- one verification sweep's operator application ----------------------------
 
 
 class _LocalApplier:
-    """Operator application for one verification sweep (one per sweep): image
-    records and annihilation expansions live in tables local to the sweep,
-    so the engine's cache does not grow with large mode ranges and
-    everything is freed when the sweep returns.  Images k(n)*m of the
-    current bucket's basis monomials are remembered in units, which the
-    sweep clears at each new bucket.  Both zero tests reduce nothing:
-    vanishes reads records (whole images re-read, or single-monomial
-    sources); sum_vanishes factorizes words of one outer kind."""
+    """Operator application for one verification sweep (one per sweep), in
+    tables local to the sweep, so the engine's cache does not grow with
+    large mode ranges and everything is freed when the sweep returns.  No
+    zero test decodes or reduces a target.
+
+    - bucket_vanishes, the relation and bracket zero test, reads packed
+      kernels: kernels holds {multiset: packed kernel} per (kind,
+      argument), at one digit width, and digits the inner operator's
+      kernels on the current bucket's basis, unpacked, which the sweep
+      clears at each new bucket.
+    - sum_vanishes, the quadratic zero test, factorizes words of one outer
+      kind through the annihilation expansions in expansions.
+    - apply reads records in images, and unit_image keeps the images
+      k(n)*m of the current bucket's basis monomials in units, which the
+      quadratic sweep reads and clears at each new bucket.
+    """
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
         self.images: Dict[tuple, tuple] = {}
         self.expansions: Dict[tuple, tuple] = {}
         self.units: Dict[tuple, FockVector] = {}  # (kind, n4, mono) -> image of the unit vector
+        # per sweep: heads by (kind, n4, source charge), D by (kind, target weight)
+        self.heads = LazyTable(lambda key: fock._head(*key))
+        self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
+        self.width = _SLOT_BITS
+        self._drop_kernels()
+
+    def _drop_kernels(self) -> None:
+        # the tables' makers hold no reference to self, so nothing here
+        # waits for the cycle collector
+        self.kernels: Dict[Tuple[str, int], LazyTable] = {}
+        self.digits: Dict[Tuple[str, int], LazyTable] = {}
+        self.off: Dict[tuple, dict] = {}
+        self.bits = [0]  # the widest numerator met at this width
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply(kind, n4, vec, self.images)
 
-    def vanishes(self, terms) -> bool:
-        """Whether sum w * kind(n4) vec over terms (w, kind, n4, vec) is zero,
-        decided on the unreduced integer numerators."""
-        return _all_zero(self.fock._accumulate(terms, self.images)[0])
+    def _table(self, kind: str, arg: int) -> LazyTable:
+        table = self.kernels.get((kind, arg))
+        if table is None:
+            fock, dens, width, bits, off = self.fock, self.dens, self.width, self.bits, self.off
+            make = functools.partial(_packed_kernel, fock, dens, kind, arg, width, bits, off)
+            table = self.kernels[kind, arg] = LazyTable(make)
+        return table
+
+    def _digits(self, kind: str, arg: int) -> LazyTable:
+        table = self.digits.get((kind, arg))
+        if table is None:
+            make = functools.partial(_unpacked, self._table(kind, arg), arg, self.width)
+            table = self.digits[kind, arg] = LazyTable(make)
+        return table
+
+    def _parts(self, kind: str, arg: int, multiset: int) -> dict:
+        """{target weight: (packed, denominator)} of one kernel as it is."""
+        packed = self._table(kind, arg)[multiset]
+        if packed is None:
+            return self.off[kind, arg, multiset]
+        w = _WEIGHTS[multiset] + arg
+        return {w: (packed, self.dens[kind, w])}
+
+    def _check_width(self, bound: int) -> None:
+        """A zero sum counts only while its digits, at most bound times the
+        widest numerator, cannot carry."""
+        if bound.bit_length() + self.bits[0] >= self.width:
+            raise _Carry
+
+    def bucket_vanishes(self, bucket: BucketKey, words) -> bool:
+        """Whether sum w * kind(n4) inner e over words (w, kind, n4, inner),
+        inner an operator (kind, n4) applied first or None, is zero on every
+        basis monomial e of bucket.  Where a packed sum could carry, the
+        kernels are dropped and the test is redone at twice the width."""
+        while True:
+            try:
+                return self._vanishes_on(bucket, words)
+            except _Carry:
+                self.width *= 2
+                self._drop_kernels()
+
+    def _vanishes_on(self, bucket: BucketKey, words) -> bool:
+        # heads, denominators and scalars once per call, over one common
+        # denominator; the words whose arguments send them to one target
+        # charge and weight form a group, and each group sums to zero alone
+        heads, dens = self.heads, self.dens
+        c, l = bucket
+        weight = l - c * c
+        plan, fast, keys, scalars = [], [], [], []
+        for w, kind, n4, inner in words:
+            a, b, d = w.a, w.b, w.d
+            cin, win, den, digits = c, weight, 1, None
+            if inner is not None:
+                iarg, base, cin = heads[inner[0], inner[1], c]
+                win += iarg
+                a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
+                den = dens[inner[0], win]
+                inner = (inner[0], iarg)
+                digits = self._digits(*inner)
+            arg, base, c2 = heads[kind, n4, cin]
+            a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
+            plan.append(((a, b, d), kind, arg, c2, inner))
+            fast.append((self._table(kind, arg), digits))
+            keys.append((c2, win + arg))
+            scalars.append((a, b, d * den * dens[kind, win + arg]))
+        re, im, mags = _rows(scalars)
+        if len(set(keys)) == 1:
+            checks = [(re, im)]
+        else:
+            checks = [
+                tuple([x if k == key else 0 for k, x in zip(keys, part)] for part in (re, im))
+                for key in set(keys)
+            ]
+        norms = [1] * len(words)  # per word, the largest sum of |inner numerators|
+        for e in _SLOTS[weight][0]:
+            sums = []
+            for k, (table, digits) in enumerate(fast):
+                if digits is None:
+                    s = table[e]
+                    if s is None:
+                        break  # a kernel off its weight
+                else:
+                    hit = digits[e]
+                    if not hit:
+                        break
+                    outer = [*map(table.__getitem__, hit[0])]
+                    if None in outer:
+                        break
+                    s = sum(map(mul, hit[1], outer))
+                    if hit[2] > norms[k]:
+                        norms[k] = hit[2]
+                sums.append(s)
+            else:
+                for x, y in checks:
+                    if sum(map(mul, x, sums)) or sum(map(mul, y, sums)):
+                        return False
+                continue
+            if not self._exact_vanishes(plan, e):
+                return False
+        self._check_width(sum(map(mul, mags, norms)))
+        return True
+
+    def _exact_vanishes(self, plan, e: int) -> bool:
+        """The zero test on basis monomial e with every kernel at the target
+        weights and denominators it has, summed per target charge and
+        weight: the path taken where a kernel's targets do not weigh what
+        its argument says."""
+        groups: Dict[tuple, list] = {}
+        for (a, b, d), kind, arg, c2, inner in plan:
+            sources = [(a, b, d, e)]
+            if inner is not None:
+                sources = [
+                    (a * n, b * n, d * iden, t)
+                    for iw, (packed, iden) in self._parts(*inner, e).items()
+                    for t, n in zip(*_unpack(packed, iw, self.width))
+                ]
+            for sa, sb, sd, f in sources:
+                for tw, (packed, tden) in self._parts(kind, arg, f).items():
+                    groups.setdefault((c2, tw), []).append(((sa, sb, sd * tden), packed))
+        for items in groups.values():
+            re, im, mags = _rows([scalar for scalar, _ in items])
+            sums = [packed for _, packed in items]
+            if sum(map(mul, re, sums)) or sum(map(mul, im, sums)):
+                return False
+            self._check_width(sum(mags))
+        return True
 
     def sum_vanishes(self, kind: str, terms) -> bool:
         """Whether sum w * kind(n4) vec over terms (w, n4, vec) of one vertex
@@ -724,255 +887,3 @@ class _LocalApplier:
 
 def _all_zero(accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]]) -> bool:
     return not any(any(part.values()) for parts in accs.values() for part in parts)
-
-
-def component_sign(n4: int) -> int:
-    """Sign relating the two simple components at a quarter mode."""
-    return 1 if n4 % 4 == 1 else -1
-
-
-def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Report:
-    """Commutators of component operators against the closed bracket table.
-
-    Verified exactly per bucket basis vector: the self-bracket family of
-    the first component, centrality of the integer-mode component, and the
-    mode-wise coincidence of the two simple components.  The three
-    remaining families follow from those by exact sign arithmetic, which
-    is asserted over the whole mode range.
-    """
-    rep = Report("bracket-table")
-    odd = [n for n in range(-max_mode4, max_mode4 + 1) if n % 2]
-    z_modes = [n for n in range(-max_mode4, max_mode4 + 1) if n % 4 == 0]
-    # scalar closure of the aliased families, valid wherever the target
-    # component can be nonzero (index sums in the integer class)
-    for m4 in odd:
-        for n4 in odd:
-            if (m4 + n4) % 4:
-                continue
-            c_self = self_bracket_coeff(m4)
-            rep.record(
-                c_self.scale_frac(Fraction(component_sign(n4))) == bracket_coeff("a1", "a2", m4),
-                {"closure": ("a1", "a2", m4, n4)},
-            )
-            rep.record(
-                c_self.scale_frac(Fraction(component_sign(m4))) == bracket_coeff("a2", "a1", m4),
-                {"closure": ("a2", "a1", m4, n4)},
-            )
-            rep.record(
-                c_self.scale_frac(Fraction(component_sign(m4) * component_sign(n4)))
-                == bracket_coeff("a2", "a2", m4),
-                {"closure": ("a2", "a2", m4, n4)},
-            )
-    local = _LocalApplier(fock)
-    unit = local.unit_image
-    minus_one = GaussianRational(-1)
-    for bucket in all_buckets(cutoff):
-        c, l = bucket
-        local.units.clear()
-        basis = [(mono, FockVector.unit(mono)) for mono in enumerate_bucket(*bucket)]
-
-        def pair_ok(lk, m4, rk, n4, coeff) -> bool:
-            # [lk(m4), rk(n4)] - coeff * a12(m4 + n4) on each basis vector
-            for mono, e in basis:
-                terms = [(ONE, lk, m4, unit(rk, n4, mono)), (minus_one, rk, n4, unit(lk, m4, mono))]
-                if coeff:
-                    terms.append((-coeff, "a12", m4 + n4, e))
-                if not local.vanishes(terms):
-                    return False
-            return True
-
-        for n4 in odd:
-            if l - n4 > cutoff:
-                continue
-            minus_sign = GaussianRational(-component_sign(n4))
-            ok = all(local.vanishes([(ONE, "a2", n4, e), (minus_sign, "a1", n4, e)]) for _, e in basis)
-            rep.record(ok, {"bracket": ("component-coincidence", n4), "bucket": bucket})
-        for m4 in odd:
-            if l - m4 > cutoff:
-                continue
-            for n4 in odd:
-                if n4 > m4:
-                    continue  # antisymmetry makes the swapped pair the same check
-                if l - n4 > cutoff or l - m4 - n4 > cutoff:
-                    continue
-                ok = pair_ok("a1", m4, "a1", n4, bracket_coeff("a1", "a1", m4))
-                rep.record(ok, {"bracket": ("a1", m4, "a1", n4), "bucket": bucket})
-        for m4 in z_modes:
-            if l - m4 > cutoff:
-                continue
-            for key, n4s in (("a1", odd), ("a12", z_modes)):
-                for n4 in n4s:
-                    if l - n4 > cutoff or l - m4 - n4 > cutoff:
-                        continue
-                    ok = pair_ok("a12", m4, key, n4, ZERO)
-                    rep.record(ok, {"bracket": ("a12", m4, key, n4), "bucket": bucket})
-    return rep
-
-
-# --- quadratic relation sums ------------------------------------------------
-
-# uu families: pairs (n1, n2) with n1 + n2 + 1/2 = -t contribute
-# phase(n2) * (x_left(n1 + 1/2) x_right(n2) + sign * x_left(n1) x_right(n2 + 1/2)).
-# The same-component sums come from the x2 -> x1 limit and carry no phase;
-# the mixed sums come from the x2^(1/4) -> i x1^(1/4) limit, which weights
-# each pair by i^(-4 n2) (without that weight the mixed sums do not vanish).
-UU_FAMILIES = {
-    "uu-sym-1": ("a1", "a1", 1, False),
-    "uu-sym-2": ("a2", "a2", 1, False),
-    "uv-antisym-12": ("a1", "a2", -1, True),
-    "uv-antisym-21": ("a2", "a1", -1, True),
-}
-
-
-def _quadratic_sums(t4: int, ucap: int, zcap: int):
-    """The degree-t quadratic sums through their finite windows, as (family,
-    outer kind, words), each word ((left index, right kind, right index),
-    weight) with the outer kind on the left; ucap and zcap are the largest
-    live quarter indices of the charge-1 and charge-2 components on the
-    source bucket."""
-    if t4 % 2 == 0:
-        # paired simple-component sums, indices n1 + n2 + 1/2 = -t
-        pairs = [
-            (a4, -t4 - 2 - a4) for a4 in range(-t4 - 2 - ucap, ucap + 1) if a4 % 2 and -t4 - 2 - a4 <= ucap
-        ]
-        for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
-            words = []
-            for a4, b4 in pairs:
-                w = i_power(-b4) if phased else ONE
-                words += [((a4 + 2, rk, b4), w), ((a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
-            yield fam, lk, words
-    if t4 % 4 == 0:
-        # central-central sums, m1 + m2 = -t
-        ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]
-        yield "zz", "a12", [((m4, "a12", -t4 - m4), ONE) for m4 in ms]
-    if t4 % 2:
-        # central-simple sums, m + n = -t
-        ns = [n4 for n4 in range(-t4 - zcap, ucap + 1) if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap]
-        for rk in ("a1", "a2"):
-            yield "z" + rk, "a12", [((-t4 - n4, rk, n4), ONE) for n4 in ns]
-
-
-def check_quadratic_relations(
-    fock: TwistedFock,
-    vec_cutoff: int,
-    t4_max: int = 24,
-    max_intermediate: int = 26,
-) -> Report:
-    """The degree-t quadratic sums annihilate the module.
-
-    The untruncated sums are evaluated through a finite window: a term is
-    provably zero once its right factor's target drops below ground, and
-    past the capacity bound on the left index the paired terms cancel after
-    swapping (the two central corrections cancel; for the central factor
-    the swap is exact).  A sum whose lowest right index needs an
-    intermediate bucket beyond max_intermediate is skipped and counted, so
-    every enumerated sum is either checked or counted.
-    """
-    rep = Report("quadratic-relations")
-    skipped = 0
-    local = _LocalApplier(fock)
-    for bucket in all_buckets(vec_cutoff):
-        c, l = bucket
-        local.units.clear()
-        basis = enumerate_bucket(*bucket)
-        ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
-        zcap = l - (c + 2) * (c + 2)
-        for t4 in range(-8, t4_max + 1):
-            for fam, kind, words in _quadratic_sums(t4, ucap, zcap):
-                if words and l - min(b4 for (_, _, b4), _ in words) > max_intermediate:
-                    skipped += len(basis)
-                    continue
-                for mono in basis:
-                    combination = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
-                    rep.record(
-                        local.sum_vanishes(kind, combination),
-                        {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
-                    )
-    rep.details["skipped_vector_sums"] = skipped
-    return rep
-
-
-# --- exponential-exchange identity ------------------------------------------
-
-
-def exchange_series(alpha: LatticeVector, beta: LatticeVector, order: int) -> List[GaussianRational]:
-    """Coefficients in y = (x2/x1)^(1/4) of prod_p (1 - i^p y)^<nu^p alpha, beta>,
-    one factor (1 - c*y) at a time, in place."""
-    out = [ONE] + [ZERO] * order
-    a = alpha
-    for p in range(4):
-        c, e = i_power(p), gram(a, beta)
-        for _ in range(e):  # times 1 - c*y, from the top coefficient down
-            for k in range(order, 0, -1):
-                out[k] = out[k] - c * out[k - 1]
-        for _ in range(-e):  # over 1 - c*y, from the bottom coefficient up
-            for k in range(1, order + 1):
-                out[k] = out[k] + c * out[k - 1]
-        a = nu(a)
-    return out
-
-
-def _e_plus_map(data: VertexData, vec: FockVector) -> Dict[int, FockVector]:
-    """Expansion of the annihilating exponential of a vector: {h4: image}."""
-    out: Dict[int, FockVector] = {}
-    for mono, coeff in vec.terms.items():
-        modes, c = mono
-        for h4, afac, leftover in _annihilation_terms(modes, data.f0, data.f2):
-            out.setdefault(h4, FockVector()).add_term(_MONOS[c][leftover], coeff * afac)
-    return {h: v for h, v in out.items() if not v.is_zero()}
-
-
-def _e_minus_map(data: VertexData, vec: FockVector, order: int) -> Dict[int, FockVector]:
-    """Truncated expansion of the creating exponential: {g4: image}."""
-    out: Dict[int, FockVector] = {}
-    for g4 in range(0, order + 1, 2):
-        acc = FockVector()
-        den, created_terms = _creation_terms(-data.f0, -data.f2, g4)
-        for created, num in created_terms:
-            cfac = Fraction(num, den)
-            for mono, coeff in vec.terms.items():
-                modes, c = mono
-                _check_room(sum(modes) + g4)
-                acc.add_term(_MONOS[c][_pack(modes) + created], coeff * cfac)
-        if not acc.is_zero():
-            out[g4] = acc
-    return out
-
-
-def check_exchange_identity(fock: TwistedFock) -> Report:
-    """Low-order coefficient check of the exchange rule
-    E+(a,x1)E-(b,x2) = E-(b,x2)E+(a,x1) prod_p (1 - i^p (x2/x1)^(1/4))^<nu^p a,b>
-    on the vacuum and on an excited monomial, up to quarter-degree 12 in
-    each variable, with the contraction factors of fock's vertex operators;
-    the rule holds for every pair of lattice vectors, so the pairs cover
-    the sum vector on either side."""
-    rep = Report("exponential-exchange")
-    order = 12
-    test_vectors = [FockVector.unit(VACUUM), FockVector.unit(((6, 4, 2), 1))]
-    for a, b in (("a1", "a1"), ("a1", "a2"), ("a1", "a12"), ("a12", "a1"), ("a12", "a12")):
-        da, db = fock.vertex[a], fock.vertex[b]
-        alpha, beta = da.vec, db.vec
-        series = exchange_series(alpha, beta, order)
-        for v in test_vectors:
-            lhs: Dict[Tuple[int, int], FockVector] = {}
-            for g4, w in _e_minus_map(db, v, order).items():
-                for h4, u in _e_plus_map(da, w).items():
-                    if h4 <= order:
-                        lhs[(h4, g4)] = lhs.get((h4, g4), FockVector()) + u
-            rhs: Dict[Tuple[int, int], FockVector] = {}
-            for h4, w in _e_plus_map(da, v).items():
-                if h4 > order:
-                    continue
-                for g4, u in _e_minus_map(db, w, order).items():
-                    for k, s in enumerate(series):
-                        if s.is_zero():
-                            continue
-                        key = (h4 + k, g4 + k)
-                        if key[0] > order or key[1] > order:
-                            continue
-                        rhs[key] = rhs.get(key, FockVector()) + u.scale(s)
-            for key in sorted(set(lhs) | set(rhs)):
-                a = lhs.get(key, FockVector())
-                b = rhs.get(key, FockVector())
-                rep.record(a == b, {"pair": (tuple(alpha), tuple(beta)), "degrees4": key})
-    return rep

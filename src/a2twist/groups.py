@@ -180,7 +180,7 @@ def group_invariant_report():
     its automorphism property for both multiplications, the character's
     defining relations and factorization independence, and the coset
     action being a group action."""
-    from .fock import Report  # local import to avoid a cycle
+    from .suites import Report  # local import to avoid a cycle
     from .lattice import commutator_C0_exp, commutator_C_exp
 
     rep = Report("group-layer")

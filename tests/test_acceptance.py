@@ -18,14 +18,14 @@ from a2twist.analyzer import (
     check_recursion,
 )
 from a2twist.envelope import check_ideal_stability
-from a2twist.fock import (
-    TwistedFock,
+from a2twist.fock import TwistedFock
+from a2twist.groups import group_invariant_report
+from a2twist.suites import (
     check_brackets,
     check_exchange_identity,
     check_linear_relations,
     check_quadratic_relations,
 )
-from a2twist.groups import group_invariant_report
 from test_fock import aliased_brackets
 
 TABLE_CUTOFF = 40

@@ -8,31 +8,34 @@ from math import comb, factorial, isqrt, lcm
 import pytest
 
 import a2twist.fock as fock_module
+import a2twist.suites as suites_module
 from a2twist.fock import (
     GRAM_NORM,
     FockVector,
-    Report,
     TwistedFock,
     _MODES,
     _LocalApplier,
     _pack,
     all_buckets,
-    bracket_coeff,
     bucket_exists,
-    check_brackets,
-    check_exchange_identity,
-    check_linear_relations,
-    check_quadratic_relations,
-    component_sign,
     enumerate_bucket,
-    exchange_series,
     monomial_qweight,
-    self_bracket_coeff,
     sigma_factor,
 )
 from a2twist.groups import HAT_LNU, CosetModel, section
 from a2twist.lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, project_lattice
 from a2twist.scalar import GaussianRational, ONE, ZERO, i_power
+from a2twist.suites import (
+    Report,
+    bracket_coeff,
+    check_brackets,
+    check_exchange_identity,
+    check_linear_relations,
+    check_quadratic_relations,
+    component_sign,
+    exchange_series,
+    self_bracket_coeff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,13 @@ def test_self_bracket_coefficient_classes():
     assert self_bracket_coeff(1) == gr(Fraction(-1, 2))
 
 
+def vanishes(local, terms):
+    """The records reference zero test: whether sum w * kind(n4) vec over
+    terms (w, kind, n4, vec) is zero, decided on the unreduced integer
+    numerators _accumulate sums from the records in local.images."""
+    return fock_module._all_zero(local.fock._accumulate(terms, local.images)[0])
+
+
 def aliased_brackets(fock, cutoff, max_mode4):
     """The (a1, a2), (a2, a1) and (a2, a2) families of the bracket table,
     which check_brackets derives from the (a1, a1) family by sign
@@ -172,7 +182,8 @@ def aliased_brackets(fock, cutoff, max_mode4):
                     # [left(m4), right(n4)] - coeff * a12(m4 + n4) on each basis vector
                     coeff = bracket_coeff(left, right, m4)
                     ok = all(
-                        local.vanishes(
+                        vanishes(
+                            local,
                             [
                                 (ONE, left, m4, local.unit_image(right, n4, mono)),
                                 (gr(-1), right, n4, local.unit_image(left, m4, mono)),
@@ -876,7 +887,7 @@ def test_charge_free_table_matches_reference_across_charges():
                 for w, kind, k4, vec in terms:
                     built = built + fock.apply(kind, k4, vec).scale(w)
                 assert built.terms == want
-                assert local.vanishes(terms) == (not want), (bucket, terms)
+                assert vanishes(local, terms) == (not want), (bucket, terms)
                 outcome = "zero" if not want else "imaginary" if all(c.a == 0 for c in want.values()) else "other"
                 outcomes.add(outcome)
                 if len({kind for _, kind, _, _ in terms}) == 1:
@@ -892,11 +903,11 @@ def test_charge_free_table_matches_reference_across_charges():
         assert img.terms == reference_apply(fock, "a1", n4, both)
         assert {c for _, c in img.terms} == {1, 2}
         terms = [(ONE, "a1", n4, both), (gr(-1), "a1", n4, low), (gr(-1), "a1", n4, high)]
-        assert local.vanishes(terms) and factorized(local, terms)
+        assert vanishes(local, terms) and factorized(local, terms)
         # what is left lies in one of the two charges only
         for part in (low, high):
             terms = [(ONE, "a1", n4, both), (gr(-1), "a1", n4, part)]
-            assert not local.vanishes(terms) and not factorized(local, terms)
+            assert not vanishes(local, terms) and not factorized(local, terms)
 
 
 def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
@@ -907,7 +918,7 @@ def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
     local = _LocalApplier(fock)
 
     def both(kind, terms):
-        records = local.vanishes([(w, kind, n4, vec) for w, n4, vec in terms])
+        records = vanishes(local, [(w, kind, n4, vec) for w, n4, vec in terms])
         assert local.sum_vanishes(kind, terms) == records
         return records
 
@@ -915,7 +926,7 @@ def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
     for bucket in all_buckets(2):
         c, l = bucket
         for t4 in range(-8, 25):
-            for fam, kind, words in fock_module._quadratic_sums(t4, l - (c + 1) ** 2, l - (c + 2) ** 2):
+            for fam, kind, words in suites_module._quadratic_sums(t4, l - (c + 1) ** 2, l - (c + 2) ** 2):
                 if words and l - min(b4 for (_, _, b4), _ in words) > 26:
                     continue  # skipped by the suite
                 for mono in enumerate_bucket(*bucket):
@@ -929,6 +940,107 @@ def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
     # of the 424 checks, 118 sum over an empty window and 60 over words
     # whose images are each zero
     assert perturbed == 424 - 118 - 60
+
+
+# --- the packed zero test against the records ---------------------------------
+
+
+def records_bucket_vanishes(local, bucket, words):
+    """_LocalApplier.bucket_vanishes through the records reference: each
+    word's inner image a unit image, the sum on each basis monomial decided
+    by vanishes."""
+    for mono in enumerate_bucket(*bucket):
+        terms = [
+            (w, kind, n4, FockVector.unit(mono) if inner is None else local.unit_image(*inner, mono))
+            for w, kind, n4, inner in words
+        ]
+        if not vanishes(local, terms):
+            return False
+    return True
+
+
+def sweeps(cutoff):
+    fock = TwistedFock()
+    return [check_linear_relations(fock, cutoff).as_dict(), check_brackets(fock, cutoff, max_mode4=8).as_dict()]
+
+
+def recorded_words(monkeypatch, sweep):
+    """The report of sweep() and the (bucket, words) of every zero test it
+    asked of bucket_vanishes."""
+    calls = []
+    real = _LocalApplier.bucket_vanishes
+
+    def recording(self, bucket, words):
+        calls.append((bucket, words))
+        return real(self, bucket, words)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_LocalApplier, "bucket_vanishes", recording)
+        rep = sweep()
+    return rep, calls
+
+
+def test_packed_sweeps_match_the_records_sweeps(monkeypatch):
+    packed = sweeps(10)
+    assert all(rep["pass"] and rep["details"]["vacuous"] for rep in packed)
+    monkeypatch.setattr(_LocalApplier, "bucket_vanishes", records_bucket_vanishes)
+    assert sweeps(10) == packed
+
+
+def test_perturbed_words_flip_both_zero_tests_alike(monkeypatch):
+    # every zero test of the bracket sweep at cutoff 8 with the central word's
+    # weight doubled, or the first outer word's: the sum then gains one more
+    # copy of that word, so it must read zero exactly when that word alone
+    # does, for the packed test and the records alike
+    fock = TwistedFock()
+    _, calls = recorded_words(monkeypatch, lambda: check_brackets(fock, 8, max_mode4=8))
+    local = _LocalApplier(fock)
+    flips = Counter()
+    for bucket, words in calls:
+        doubled = {"outer": 0}
+        if words[-1][1] == "a12" and words[-1][3] is None:
+            doubled["central"] = len(words) - 1
+        for name, k in doubled.items():
+            w, kind, n4, inner = words[k]
+            changed = words[:k] + [(w.scale_frac(2), kind, n4, inner)] + words[k + 1 :]
+            got = local.bucket_vanishes(bucket, changed)
+            assert got == records_bucket_vanishes(local, bucket, changed), (name, bucket, words)
+            assert got == local.bucket_vanishes(bucket, [words[k]]), (name, bucket, words)
+            flips[name] += not got
+    assert len(calls) > 1000 and flips["central"] > 40 and flips["outer"] > 150
+
+
+def test_an_eight_bit_start_grows_and_changes_no_report(monkeypatch):
+    want = sweeps(10)
+    made = []
+    init = _LocalApplier.__init__
+
+    def recording(self, fock):
+        init(self, fock)
+        made.append(self)
+
+    monkeypatch.setattr(fock_module, "_SLOT_BITS", 8)
+    monkeypatch.setattr(_LocalApplier, "__init__", recording)
+    assert sweeps(10) == want
+    assert len(made) == 2 and all(local.width > 8 for local in made)
+
+
+def test_vacuous_checks_are_the_ones_without_a_target_bucket(monkeypatch):
+    # a check whose target bucket does not exist: every word of it is zero
+    # on its own, whatever the coefficients
+    fock = TwistedFock()
+    for sweep in (lambda: check_linear_relations(fock, 8), lambda: check_brackets(fock, 8, max_mode4=8)):
+        rep, calls = recorded_words(monkeypatch, sweep)
+        local = _LocalApplier(fock)
+        vacuous = 0
+        for bucket, words in calls:
+            _, kind, n4, inner = words[0]
+            target = fock.target_bucket(kind, n4, bucket if inner is None else fock.target_bucket(*inner, bucket))
+            if not bucket_exists(*target):
+                vacuous += 1
+                assert all(local.bucket_vanishes(bucket, [word]) for word in words), (bucket, words)
+        assert rep.details["vacuous"] == vacuous > 0
+        assert rep.passed and rep.checked > len(calls) // 2
 
 
 # --- fault injection: the reuse hides no mismatch -----------------------------
@@ -969,6 +1081,32 @@ def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
     monkeypatch.setattr(TwistedFock, "_head", keyed_on_n4)
     monkeypatch.setattr(TwistedFock, "_kernel", kernel_of_the_last_charge)
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
+
+
+@pytest.mark.parametrize("where", ["head", "kernel"])
+def test_central_kernels_a_weight_step_off_fail_brackets(monkeypatch, where):
+    # a12 images one weight step (two quarters) off: through the head on
+    # source charge 1, so they land in a bucket the other words do not
+    # reach, or through the kernel on every charge, so its targets do not
+    # weigh what its argument says.  Both must come back as failed checks,
+    # not as an exception or a digit read at another weight's slot
+    head, kernel = TwistedFock._head, TwistedFock._kernel
+
+    def shifted_head(self, kind, n4, c):
+        arg, base, c2 = head(self, kind, n4, c)
+        return (arg + 2 if kind == "a12" and c == 1 else arg), base, c2
+
+    def shifted_kernel(self, kind, arg, modes):
+        return kernel(self, kind, arg + 2 if kind == "a12" else arg, modes)
+
+    if where == "head":
+        monkeypatch.setattr(TwistedFock, "_head", shifted_head)
+    else:
+        monkeypatch.setattr(TwistedFock, "_kernel", shifted_kernel)
+    rep = check_brackets(TwistedFock(), 12, max_mode4=8)
+    assert not rep.passed and rep.failures
+    if where == "head":
+        assert {f["bucket"][0] for f in rep.failures} <= {0, 1}
 
 
 def test_exchange_reads_the_engines_contraction_factors():
