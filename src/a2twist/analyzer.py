@@ -143,6 +143,23 @@ def _rank_of(vectors: Iterable) -> int:
     return len(EchelonBasis().extend(vectors))
 
 
+def _slice_rank(span: List[EnvElement], monos: List[PBWMonomial]) -> int:
+    """The exact rank of span.  len(monos) rows that all lie among monos
+    span every vector there, so a later such vector is dependent and is
+    skipped; after one stray vector (a key outside monos) every vector is
+    inserted."""
+    basis = EchelonBasis()
+    inside = set(monos)
+    stray = False
+    for elt in span:
+        within = elt.terms.keys() <= inside
+        if within and not stray and len(basis) == len(monos):
+            continue
+        stray = stray or not within
+        basis.insert(elt.terms)
+    return len(basis)
+
+
 def check_exact_sequence(fock: TwistedFock, space: PrincipalSubspace, cutoff: int) -> Report:
     """Per bucket: injectivity of the charge-raising map, surjectivity of
     the constant-term map onto the matching subspace bucket, vanishing of
@@ -180,11 +197,14 @@ def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Re
     """Per bucket: the PBW monomial count minus the rank of the projected
     relation ideal equals the subspace dimension, and the evaluation map
     kills the whole ideal slice.  Each PBW monomial is evaluated on the
-    vacuum once, into a table freed when the suite returns."""
+    vacuum once, into a table freed when the suite returns.  details.vacuous
+    counts the evaluation checks on buckets the module does not have, where
+    every PBW monomial evaluates to zero by grading."""
     rep = Report("presentation")
     slice_ = IdealSlice()
     on_vacuum: Dict[PBWMonomial, FockVector] = {}
     finding = {}
+    vacuous = 0
     for l in range(cutoff + 1):
         # charges beyond sqrt(l) have no module bucket, but the enveloping
         # algebra still has monomials there; the ideal must fill the slice.
@@ -193,7 +213,7 @@ def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Re
             if not monos and not bucket_exists(k, l):
                 continue
             span = slice_.bucket_span(k, l)
-            rank = _rank_of(span)
+            rank = _slice_rank(span, monos)
             want = table.dim(k, l)
             rep.record(
                 len(monos) - rank == want,
@@ -209,6 +229,8 @@ def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Re
                     elt.evaluate(fock, on_vacuum).is_zero(),
                     {"bucket": (k, l), "condition": "ideal-evaluates-to-zero"},
                 )
+            if not bucket_exists(k, l):
+                vacuous += len(span)
             # exploratory finding: images of the distinct-odd-mode words
             distinct = [m for m in monos if not m[0] and len(set(m[1])) == len(m[1])]
             images = [vacuum_image(fock, mono, on_vacuum) for mono in distinct]
@@ -218,6 +240,7 @@ def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Re
                 "spanning": len(distinct) == want,
             }
     rep.details["distinct_mode_basis_finding"] = finding
+    rep.details["vacuous"] = vacuous
     return rep
 
 

@@ -14,7 +14,6 @@ those monomials, and the projection commutes with left multiplication.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from fractions import Fraction
@@ -47,24 +46,23 @@ class ModeGen(NamedTuple):
         return cls("z", n4)
 
 
-def _u_sort_key(n4: int):
+def _u_sort_key(n4: int) -> int:
     # creation modes first, each group by descending index
-    return (0 if n4 < 0 else 1, -n4)
+    return -n4 if n4 < 0 else (1 << 30) - n4
 
 
 def u_canonical(seq: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(seq, key=_u_sort_key))
 
 
-def _z_insert(z: Tuple[int, ...], m4: int) -> Tuple[int, ...]:
-    return tuple(sorted(z + (m4,), reverse=True))
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
 
 
 def bracket_uu_coeff(m4: int, n4: int) -> Optional[Fraction]:
     """[u(m), u(n)] = coeff * z(m + n), None when the bracket vanishes."""
     if (m4 + n4) % 4:
         return None
-    return Fraction(-1, 2) if m4 % 4 == 1 else Fraction(1, 2)
+    return _MINUS_HALF if m4 % 4 == 1 else _HALF
 
 
 def monomial_charge(mono: PBWMonomial) -> int:
@@ -140,28 +138,36 @@ class EnvElement(SparseVector):
     def left_mul_gen(self, gen: ModeGen) -> "EnvElement":
         """gen times self, in closed form on canonical terms."""
         if gen.label == "z":
-            return self._left_mul_z(gen.n4)
-        return self._left_mul_u(gen.n4)
+            return self._left_mul_word((gen.n4,), ())
+        return self._left_mul_word((), (gen.n4,))
 
-    def _left_mul_z(self, m4: int) -> "EnvElement":
+    def _left_mul_word(self, z: Tuple[int, ...], u: Tuple[int, ...]) -> "EnvElement":
+        """z(z) u(u) times self, u's letters moved into each term from the
+        right.  u(n) passes the leading modes a_j that sort before it and
+        lands in canonical position; passing each a_j leaves [u(n), u(a_j)]
+        times the word without a_j, which is still canonical.  One scan per
+        letter finds both; the central modes, z's and the brackets', are
+        merged into each term once, at the end, where cancelled terms drop."""
+        cur = self.terms  # (central modes, unsorted; word) -> coeff
+        for n4 in reversed(u):
+            key = _u_sort_key(n4)
+            nxt = {}
+            for (zs, w), cf in cur.items():
+                p = 0
+                for a in w:
+                    if _u_sort_key(a) >= key:
+                        break
+                    br = bracket_uu_coeff(n4, a)
+                    if br is not None:
+                        t = (zs + (n4 + a,), w[:p] + w[p + 1 :])
+                        nxt[t] = nxt[t] + cf * br if t in nxt else cf * br
+                    p += 1
+                t = (zs, w[:p] + (n4,) + w[p:])
+                nxt[t] = nxt[t] + cf if t in nxt else cf
+            cur = nxt
         out = EnvElement()
-        for (z, u), coeff in self.terms.items():
-            out.add_term((_z_insert(z, m4), u), coeff)
-        return out
-
-    def _left_mul_u(self, n4: int) -> "EnvElement":
-        """u(n) moves right past the p leading modes a_j that sort before it
-        and lands in canonical position; passing each a_j leaves
-        [u(n), u(a_j)] times the word without a_j, which is still canonical."""
-        out = EnvElement()
-        key = _u_sort_key(n4)
-        for (z, u), coeff in self.terms.items():
-            p = bisect.bisect_left(u, key, key=_u_sort_key)
-            out.add_term((z, u[:p] + (n4,) + u[p:]), coeff)
-            for j in range(p):
-                br = bracket_uu_coeff(n4, u[j])
-                if br is not None:
-                    out.add_term((_z_insert(z, n4 + u[j]), u[:j] + u[j + 1 :]), coeff * br)
+        for (zs, w), cf in cur.items():
+            out.add_term((tuple(sorted(zs + z, reverse=True)), w), cf)
         return out
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
@@ -344,10 +350,7 @@ def _dress(kind: str, t4: int, slack4: int) -> List[Tuple[EnvElement, Tuple[int,
     )
     out = []
     for dress in dressings:
-        elt = gen
-        for a4 in dress:
-            elt = elt._left_mul_u(a4)
-        proj = elt.project_negative()
+        proj = gen._left_mul_word((), dress[::-1]).project_negative()
         if not proj.is_zero():
             out.append((proj, proj.grade()))
     return out
@@ -365,7 +368,11 @@ class IdealSlice:
     a configurable slack, which the tests widen to confirm saturation.
 
     Each generator is dressed once, and each PBW monomial list read once;
-    both are kept for the life of the slice.
+    both are kept for the life of the slice.  Each product is formed in
+    one pass over the PBW word, and nothing else is kept.  A bucket's
+    spanning vectors lie among its PBW monomials, so a slice whose rank
+    reaches their number is full: the presentation suite stops
+    eliminating there.
     """
 
     def __init__(self, slack4: int = 0):
@@ -387,11 +394,7 @@ class IdealSlice:
                 if dk < 0 or dq < dk:  # each creation generator costs at least 1 quarter
                     continue
                 for z, u in self._monomials[(dk, dq)]:
-                    elt = h
-                    for n4 in reversed(u):
-                        elt = elt._left_mul_u(n4)
-                    for m4 in reversed(z):
-                        elt = elt._left_mul_z(m4)
+                    elt = h._left_mul_word(z, u)
                     if not elt.is_zero():
                         out.append(elt)
         return out

@@ -7,6 +7,7 @@ from a2twist import envelope
 from a2twist.analyzer import (
     GradedTable,
     PrincipalSubspace,
+    _slice_rank,
     check_exact_sequence,
     check_morphisms,
     check_oracle,
@@ -17,8 +18,9 @@ from a2twist.analyzer import (
     partition_oracle,
     solve_raising_constant,
 )
+from a2twist.envelope import EnvElement, IdealSlice, pbw_monomials
 from a2twist.fock import TwistedFock
-from a2twist.scalar import GaussianRational
+from a2twist.scalar import ONE, EchelonBasis, GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +186,53 @@ def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):
 
     monkeypatch.setattr(envelope, "vacuum_image", mutant)
     assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+
+
+def test_negated_bracket_fails_presentation(fock, monkeypatch):
+    bracket = envelope.bracket_uu_coeff
+
+    def mutant(m4, n4):
+        br = bracket(m4, n4)
+        return None if br is None else -br
+
+    monkeypatch.setattr(envelope, "bracket_uu_coeff", mutant)
+    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+
+
+# --- the slice rank that stops eliminating once the slice is full -----------
+
+
+def test_slice_rank_is_the_exact_rank():
+    filled_early = 0
+    for slack in (0, 4):
+        slice_ = IdealSlice(slack4=slack)
+        for l in range(17):
+            for k in range(l + 1):
+                monos = pbw_monomials(k, l)
+                span = slice_.bucket_span(k, l)
+                rank = _slice_rank(span, monos)
+                assert rank == len(EchelonBasis().extend(span)), (slack, k, l)
+                filled_early += rank == len(monos) and rank < len(span)
+    assert filled_early > 0  # full slices with dependent vectors, where the skip acts
+
+
+def test_stray_vector_in_a_full_slice_fails_presentation(fock, monkeypatch):
+    # (4, 8) has no module bucket: its 4 PBW monomials are all in the ideal.
+    # The stray u(-1/4)^2 has grade (2, 2), which has no module bucket either,
+    # so it evaluates to zero and only the rank can catch it.  It comes
+    # first, before the slice fills: counting it as one of the 4 rows would
+    # skip a needed vector and report the exact count the check expects.
+    stray = EnvElement({((), (-1, -1)): ONE})
+    assert stray.evaluate(fock, {}).is_zero()
+    bucket_span = IdealSlice.bucket_span
+
+    def mutant(self, charge, qweight4):
+        span = bucket_span(self, charge, qweight4)
+        return [stray] + span if (charge, qweight4) == (4, 8) else span
+
+    monkeypatch.setattr(IdealSlice, "bucket_span", mutant)
+    rep = check_presentation(fock, graded_dimension(fock, 10), 10)
+    assert not rep.passed
+    (failure,) = [f for f in rep.failures if "ideal_rank" in f]
+    exact = len(EchelonBasis().extend(mutant(IdealSlice(), 4, 8)))
+    assert failure["bucket"] == (4, 8) and failure["ideal_rank"] == exact == 5

@@ -11,6 +11,7 @@ from a2twist.envelope import (
     R12,
     R121,
     _generator_keys,
+    _u_sort_key,
     bracket_uu_coeff,
     check_ideal_stability,
     make_R0,
@@ -365,6 +366,32 @@ def test_closed_form_left_mul_matches_stack_path():
         x = _random_canonical(rng, rng.randint(1, 4))
         for g in rng.sample(gens, 4):
             assert x.left_mul_gen(g) == _stack_left_mul(x, g), (x, g)
+
+
+def test_word_product_matches_letter_chain_and_stack_path():
+    rng = random.Random(37)
+    odd = [-7, -5, -3, -1, 1, 3, 5]
+    for _ in range(200):
+        z = tuple(sorted((rng.choice([-8, -4, 0, 4]) for _ in range(rng.randint(0, 2))), reverse=True))
+        u = u_canonical([rng.choice(odd) for _ in range(rng.randint(1, 4))])
+        x = _random_canonical(rng, rng.randint(1, 4))
+        # u(a)u(n) - [u(n), u(a)] for the first letter moved in, n: the bracket
+        # left by passing u(a) cancels the product of the second term
+        n = u[-1]
+        partners = [a for a in odd if (a + n) % 4 == 0 and _u_sort_key(a) < _u_sort_key(n)]
+        if partners:
+            a = rng.choice(partners)
+            br = GaussianRational(bracket_uu_coeff(n, a))
+            cancelling = EnvElement.monomial([], [a, n]) - EnvElement.monomial([n + a], [], br)
+            assert ((n + a,), (n,)) not in cancelling._left_mul_word((), (n,)).terms
+            x = x + cancelling
+        chain = x
+        for n4 in reversed(u):
+            chain = chain.left_mul_gen(ModeGen.u(n4))
+        for m4 in reversed(z):
+            chain = chain.left_mul_gen(ModeGen.z(m4))
+        got = x._left_mul_word(z, u)
+        assert got == chain == EnvElement.monomial(z, u) * x, (z, u, x)
 
 
 def test_table_evaluation_matches_operator_chain(fock):
