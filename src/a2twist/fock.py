@@ -14,7 +14,6 @@ additive and is reinstated only in reports.
 from __future__ import annotations
 
 import functools
-from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
@@ -198,8 +197,8 @@ def _decode(packed: int) -> Tuple[int, ...]:
 
 
 def _interned(packed) -> tuple:
-    """The shared int objects of packed multisets, as a tuple, so image
-    records hold no int of their own."""
+    """The shared int objects of packed multisets, as a tuple, so kernels
+    and expansions hold no int of their own."""
     return tuple(map(_TARGETS.setdefault, packed, packed))
 
 
@@ -288,15 +287,6 @@ def _create(f0: int, f2: int, groups: list) -> Tuple[dict, int]:
                 tgt = left + made
                 acc[tgt] = get(tgt, 0) + x * num
     return accs, cden
-
-
-def _record(den: int, targets: tuple, nums) -> tuple:
-    """A kernel as image tables store it: (den, targets, numerators), the
-    numerators one signed 64-bit array, or exact ints where one does not fit."""
-    try:
-        return den, targets, array("q", nums) if nums else ()
-    except OverflowError:
-        return den, targets, tuple(nums)
 
 
 # --- packed kernels -------------------------------------------------------------
@@ -428,7 +418,7 @@ class TwistedFock:
         self.coset = CosetModel(self.tau)
         self.vertex = {key: _vertex_data(vec) for key, vec in VERTEX_VECS.items()}
         # what apply keeps across calls: annihilation expansions of the
-        # vertex kinds by (kind, modes), records of the other kinds by (kind,
+        # vertex kinds by (kind, modes), kernels of the other kinds by (kind,
         # kernel argument, modes); and matrix() results.  perfbench reads
         # the len of both after each CLI call
         self._mono_cache: Dict[tuple, tuple] = {}
@@ -447,22 +437,21 @@ class TwistedFock:
     # must add beyond what the annihilating one removes, so one kernel
     # serves every charge whose mode and x-power give the same degree.
     #
-    # There are three ways to apply a vertex component.  Packed kernels
+    # There are two ways to apply a vertex component.  Packed kernels
     # (_packed_kernel, which _LocalApplier.bucket_vanishes reads) serve the
     # relation and bracket zero tests: a kernel is one int, re-read about 20
     # times over those sweeps at cutoff 16, an inner image's numerators
     # scale whole outer kernels in C, and no target is decoded.
-    # Per-monomial records (_accumulate) serve the quadratic sweep's
-    # first-level unit images, whose sources are single monomials.
-    # Annihilate, merge, create (_convolve) serves apply, apply_batch and
-    # the quadratic zero tests: the leftovers of all the source monomials of
-    # a sum of one kind meet before one creating exponential, and only the
-    # annihilation expansions are kept, in a table the caller may hold
-    # across calls (dims keeps one per charge level: at cutoff 32 it builds
-    # 2 041 expansions and reads each about 9 times; at cutoff 2 the
-    # quadratic sums add 188 705 leftover terms, and 90 merged leftovers
-    # survive to be created).  e1, dT, b0 and b2 have one-monomial records
-    # only.
+    # Annihilate, merge, create (_convolve) serves everything else: apply,
+    # apply_batch, the quadratic sweep's first-level unit images and its
+    # zero tests.  The leftovers of all the source monomials of a sum of one
+    # kind meet before one creating exponential, and only the annihilation
+    # expansions are kept, in a table the caller may hold across calls (dims
+    # keeps one per charge level: at cutoff 32 it builds 2 041 expansions
+    # and reads each about 9 times; at cutoff 2 the quadratic sums add
+    # 188 705 leftover terms, and 90 merged leftovers survive to be
+    # created).  e1, dT, b0 and b2 are applied one monomial at a time
+    # (_apply).
 
     def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
         data = self.vertex.get(kind)
@@ -528,61 +517,18 @@ class TwistedFock:
         tests and perfbench's vertex kernel microbenchmark call."""
         return self._image_raw(key, n4, mono)
 
-    def _accumulate(self, terms, images: Dict[tuple, tuple]):
-        """Sum of w * kind(n4) vec over terms (w, kind, n4, vec) as
-        Gaussian-integer numerators over one common denominator, nothing
-        reduced: ({target charge: ({packed target: re}, {packed target:
-        im})}, den).  Kernels are looked up in (or added to) images under
-        (kind, argument, modes)."""
-        scaled = []
-        den = 1
-        for w, kind, n4, vec in terms:
-            heads = {}
-            for (modes, c), coeff in vec.terms.items():
-                head = heads.get(c)
-                if head is None:
-                    arg, base, c2 = self._head(kind, n4, c)
-                    s = w * base
-                    head = heads[c] = (arg, s.a, s.b, s.d, c2)
-                arg, ha, hb, hd, c2 = head
-                key = (kind, arg, modes)
-                rec = images.get(key)
-                if rec is None:
-                    rec = images[key] = _record(*self._kernel(*key))
-                kden, targets, nums = rec
-                if targets:
-                    # coeff * head base over coeff.d * base.d * kden, unreduced
-                    ca, cb = coeff.a, coeff.b
-                    d = coeff.d * hd * kden
-                    scaled.append((ca * ha - cb * hb, ca * hb + cb * ha, d, c2, targets, nums))
-                    if den % d:
-                        den = lcm(den, d)
-        # real and imaginary parts in separate dicts: most scaled terms are
-        # purely real or purely imaginary, and a zero part costs no pass
-        accs: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        for a, b, d, c2, targets, nums in scaled:
-            parts = accs.get(c2)
-            if parts is None:
-                parts = accs[c2] = ({}, {})
-            w = den // d
-            for x, acc in ((a, parts[0]), (b, parts[1])):
-                if x:
-                    x *= w
-                    get = acc.get
-                    for tgt, n in zip(targets, nums):
-                        acc[tgt] = get(tgt, 0) + x * n
-        return accs, den
-
     def _convolve(self, kind: str, terms, expansions: Dict[tuple, tuple]):
         """Sum of w * kind(n4) vec over terms (w, n4, vec) of one vertex
-        kind, in the shape _accumulate returns.  Each source monomial is
-        annihilated once; the leftovers of all the terms' monomials, scaled
-        by their heads (each term's weight folded in), are merged as
-        Gaussian-integer numerators per (target charge, target mode sum),
-        where a leftover's own weight fixes the degree the creating
-        exponential must add; each leftover is then convolved once with the
-        creating exponential of that degree.  Annihilation expansions are
-        looked up in (or added to) expansions under (kind, modes)."""
+        kind as Gaussian-integer numerators over one common denominator,
+        nothing reduced: ({target charge: ({packed target: re}, {packed
+        target: im})}, den).  Each source monomial is annihilated once; the
+        leftovers of all the terms' monomials, scaled by their heads (each
+        term's weight folded in), are merged as Gaussian-integer numerators
+        per (target charge, target mode sum), where a leftover's own weight
+        fixes the degree the creating exponential must add; each leftover
+        is then convolved once with the creating exponential of that
+        degree.  Annihilation expansions are looked up in (or added to)
+        expansions under (kind, modes)."""
         data = self.vertex[kind]
         f0, f2 = data.f0, data.f2
         sources = []
@@ -637,14 +583,32 @@ class TwistedFock:
         accs, cden = _create(f0, f2, groups)
         return accs, den * cden
 
-    def _apply(self, kind: str, n4: int, vec: FockVector, images: Dict[tuple, tuple]) -> FockVector:
-        """Image of vec through per-monomial records kept in images."""
-        return _decoded(*self._accumulate(((ONE, kind, n4, vec),), images))
+    def _apply(self, kind: str, n4: int, vec: FockVector, kernels: Dict[tuple, tuple]) -> FockVector:
+        """Image of vec under e1, dT, b0 or b2, one monomial at a time, the
+        kernels kept in kernels under (kind, argument, modes)."""
+        out = FockVector()
+        heads = {}
+        for (modes, c), coeff in vec.terms.items():
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = self._head(kind, n4, c)
+            arg, base, c2 = head
+            key = (kind, arg, modes)
+            kernel = kernels.get(key)
+            if kernel is None:
+                kernel = kernels[key] = self._kernel(*key)
+            den, targets, nums = kernel
+            s = coeff * base
+            a, b, d = s.a, s.b, s.d * den
+            monos = _MONOS[c2]
+            for t, n in zip(targets, nums):
+                out.add_term(monos[t], _reduced(a * n, b * n, d))
+        return out
 
     def _apply_whole(self, kind: str, n4: int, vec: FockVector, table: Dict[tuple, tuple]) -> FockVector:
-        """Image of vec for apply and apply_batch: vertex components by
-        _convolve over the annihilation expansions in table, the other kinds
-        through their records in table."""
+        """Image of vec: vertex components by _convolve over the
+        annihilation expansions in table, the other kinds by _apply over
+        their kernels in table."""
         if kind in self.vertex:
             return _decoded(*self._convolve(kind, [(ONE, n4, vec)], table))
         return self._apply(kind, n4, vec, table)
@@ -655,7 +619,7 @@ class TwistedFock:
     def apply_batch(
         self, kind: str, n4: int, vectors: Sequence[FockVector], table: Optional[Dict[tuple, tuple]] = None
     ) -> List[FockVector]:
-        """Apply one operator to many vectors, its expansions or records
+        """Apply one operator to many vectors, its expansions or kernels
         kept in table: one the caller holds across batches, or by default a
         table of this call's own (nothing retained afterwards)."""
         if table is None:
@@ -717,14 +681,14 @@ class _LocalApplier:
       clears at each new bucket.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
       kind through the annihilation expansions in expansions.
-    - apply reads records in images, and unit_image keeps the images
-      k(n)*m of the current bucket's basis monomials in units, which the
-      quadratic sweep reads and clears at each new bucket.
+    - apply goes through TwistedFock._apply_whole on the same
+      expansions, and unit_image keeps the images k(n)*m of the current
+      bucket's basis monomials in units, which the quadratic sweep reads
+      and clears at each new bucket.
     """
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
-        self.images: Dict[tuple, tuple] = {}
         self.expansions: Dict[tuple, tuple] = {}
         self.units: Dict[tuple, FockVector] = {}  # (kind, n4, mono) -> image of the unit vector
         # per sweep: heads by (kind, n4, source charge), D by (kind, target weight)
@@ -742,7 +706,7 @@ class _LocalApplier:
         self.bits = [0]  # the widest numerator met at this width
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
-        return self.fock._apply(kind, n4, vec, self.images)
+        return self.fock._apply_whole(kind, n4, vec, self.expansions)
 
     def _table(self, kind: str, arg: int) -> LazyTable:
         table = self.kernels.get((kind, arg))

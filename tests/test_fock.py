@@ -1,5 +1,5 @@
 import random
-from array import array
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -156,11 +156,48 @@ def test_self_bracket_coefficient_classes():
     assert self_bracket_coeff(1) == gr(Fraction(-1, 2))
 
 
+def records_sum(fock, terms, kernels):
+    """Sum of w * kind(n4) vec over terms (w, kind, n4, vec) as
+    Gaussian-integer numerators over one common denominator, nothing
+    reduced: ({target charge: ({packed target: re}, {packed target: im})},
+    den), summed one per-monomial kernel at a time.  Kernels are looked up
+    in (or added to) kernels under (kind, argument, modes)."""
+    scaled = []
+    den = 1
+    for w, kind, n4, vec in terms:
+        heads = {}
+        for (modes, c), coeff in vec.terms.items():
+            if c not in heads:
+                arg, base, c2 = fock._head(kind, n4, c)
+                heads[c] = (arg, w * base, c2)
+            arg, s, c2 = heads[c]
+            key = (kind, arg, modes)
+            if key not in kernels:
+                kernels[key] = fock._kernel(*key)
+            kden, targets, nums = kernels[key]
+            # coeff * s over coeff.d * s.d * kden, unreduced
+            d = coeff.d * s.d * kden
+            scaled.append((coeff.a * s.a - coeff.b * s.b, coeff.a * s.b + coeff.b * s.a, d, c2, targets, nums))
+            den = lcm(den, d)
+    accs = {}
+    for a, b, d, c2, targets, nums in scaled:
+        parts = accs.setdefault(c2, ({}, {}))
+        for x, acc in ((a, parts[0]), (b, parts[1])):
+            if x:
+                x *= den // d
+                for tgt, n in zip(targets, nums):
+                    acc[tgt] = acc.get(tgt, 0) + x * n
+    return accs, den
+
+
+RECORDS = weakref.WeakKeyDictionary()  # _LocalApplier -> the kernels its records reference reads
+
+
 def vanishes(local, terms):
     """The records reference zero test: whether sum w * kind(n4) vec over
     terms (w, kind, n4, vec) is zero, decided on the unreduced integer
-    numerators _accumulate sums from the records in local.images."""
-    return fock_module._all_zero(local.fock._accumulate(terms, local.images)[0])
+    numerators records_sum adds up from kernels kept per _LocalApplier."""
+    return fock_module._all_zero(records_sum(local.fock, terms, RECORDS.setdefault(local, {}))[0])
 
 
 def aliased_brackets(fock, cutoff, max_mode4):
@@ -467,11 +504,13 @@ def all_paths(fock, kind, n4, vectors, local=None):
 
 def check_kernel_against_term_sum(fock):
     """Every application path against reference_apply on seeded random
-    vectors with mixed denominators, over KERNEL_OPS; returns the
-    _LocalApplier whose records served the local path."""
+    vectors with mixed denominators, over KERNEL_OPS: three vectors in each
+    of four buckets, then one over two charges, the sum of a vector in
+    (0, 8) and one in (1, 9)."""
     local = _LocalApplier(fock)
     rng = random.Random(5)
     dens = (1, 2, 3, 4, 5, 7, 12)
+    inputs = []
     for bucket in ((0, 8), (1, 9), (-1, 11), (2, 12)):
         monos = enumerate_bucket(*bucket)
         vectors = []
@@ -481,21 +520,20 @@ def check_kernel_against_term_sum(fock):
                 re = Fraction(rng.randint(-9, 9), rng.choice(dens))
                 terms[mono] = gr(re, Fraction(rng.randint(1, 9), rng.choice(dens)))
             vectors.append(FockVector(terms))
+        inputs.append(vectors)
+    both = inputs[0][0] + inputs[1][0]
+    assert both.buckets() == {(0, 8), (1, 9)}
+    inputs.append([both])
+    for vectors in inputs:
         assert len({c.d for v in vectors for c in v.terms.values()}) > 1  # mixed denominators
         for kind, n4 in KERNEL_OPS:
             want = [reference_apply(fock, kind, n4, v) for v in vectors]
             for path, got in all_paths(fock, kind, n4, vectors, local).items():
-                assert [g.terms for g in got] == want, (path, bucket, kind, n4)
-    return local
+                assert [g.terms for g in got] == want, (path, vectors[0].buckets(), kind, n4)
 
 
 def test_shared_denominator_kernel_matches_term_sum():
-    fock = TwistedFock()
-    local = check_kernel_against_term_sum(fock)
-    # a sweep's stored records hold their weights as one 64-bit array each
-    records = [rec for rec in local.images.values() if rec[1]]
-    assert len(records) > 100
-    assert all(type(nums) is array and nums.typecode == "q" for _, _, nums in records)
+    check_kernel_against_term_sum(TwistedFock())
 
 
 def test_weights_beyond_64_bits_stay_exact(monkeypatch):
@@ -506,13 +544,11 @@ def test_weights_beyond_64_bits_stay_exact(monkeypatch):
         den, terms = created(f0, f2, g4)
         return den, tuple((parts, n * wide[k % len(wide)]) for k, (parts, n) in enumerate(terms))
 
-    # the records, the factorized path and the reference (_image_raw) all
-    # read the same widened creation numerators
+    # the factorized path, the one-monomial kernels and the reference
+    # (_image_raw) all read the same widened creation numerators
     monkeypatch.setattr(fock_module, "_creation_terms", widened)
     fock = TwistedFock()
-    local = check_kernel_against_term_sum(fock)
-    kinds = {type(nums) for _, targets, nums in local.images.values() if targets}
-    assert kinds == {array, tuple}  # a single -2**63 weight still fits the array
+    check_kernel_against_term_sum(fock)
     # apply carries the wide numerators into its coefficients
     img = fock.apply("a1", -7, FockVector.unit(enumerate_bucket(1, 9)[0]))
     assert max(max(abs(c.a), abs(c.b), c.d).bit_length() for c in img.terms.values()) > 64
@@ -855,10 +891,10 @@ def test_charge_free_table_matches_reference_across_charges():
         for vec in (random_vector(rng, monos), FockVector({m: gr(0, rng.randint(1, 9)) for m in monos})):
             for kind in ("a1", "a2", "a12"):
                 for n4 in range(-12, 13):
-                    got = fock._apply(kind, n4, vec, table)
+                    got = fock._apply_whole(kind, n4, vec, table)
                     assert got.terms == reference_apply(fock, kind, n4, vec), (bucket, kind, n4)
                     calls += len(vec.terms)
-    assert len(table) < calls // 4  # records were shared across charges and vectors
+    assert len(table) < calls // 4  # expansions were shared across charges and vectors
 
     # both integer zero tests against build-subtract-compare, on zero and
     # non-zero combinations; the factorized one on the single-kind sums,
@@ -899,7 +935,7 @@ def test_charge_free_table_matches_reference_across_charges():
     low, high = random_vector(rng, enumerate_bucket(0, 8)), random_vector(rng, enumerate_bucket(1, 9))
     both = low + high
     for n4 in (-5, -3, -1):
-        img = fock._apply("a1", n4, both, {})
+        img = fock._apply_whole("a1", n4, both, {})
         assert img.terms == reference_apply(fock, "a1", n4, both)
         assert {c for _, c in img.terms} == {1, 2}
         terms = [(ONE, "a1", n4, both), (gr(-1), "a1", n4, low), (gr(-1), "a1", n4, high)]
@@ -1048,7 +1084,7 @@ def test_vacuous_checks_are_the_ones_without_a_target_bucket(monkeypatch):
 
 def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
     # a12's annihilation expansion doubled on sources of mode sum >= 12: the
-    # formula the records (brackets) and the factorized sums (quadratic) read
+    # formula the packed kernels (brackets) and the factorized sums (quadratic) read
     annihilation = fock_module._annihilation_terms
 
     def mutant(modes, f0, f2):
@@ -1065,7 +1101,7 @@ def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
 
 
 def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
-    # records keyed on (kind, n4, modes): the kernel of the charge met first
+    # kernels keyed on (kind, n4, modes): the kernel of the charge met first
     # is reused at every other charge with the same mode and modes
     head, kernel = TwistedFock._head, TwistedFock._kernel
     wants = {}
