@@ -321,40 +321,41 @@ class _Carry(Exception):
     """A packed digit could reach half the slot width."""
 
 
-def _packed_kernel(fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, off: dict, multiset: int):
+class _OffWeight(Exception):
+    """A kernel with a target off its weight or a denominator that does not
+    divide D: only a faulty engine makes one."""
+
+
+def _packed_kernel(fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int) -> int:
     """fock._kernel(kind, arg, multiset) as one int of width-bit digits over
-    D(kind, target weight), read from dens, the widest numerator's bit
-    length kept in bits[0].  A kernel whose targets do not all weigh the multiset's weight
-    plus arg, or whose denominator does not divide D, is kept in off as
-    {target weight: (packed, denominator)}, and None stands for it.  Raises
+    D(kind, w), w the multiset's weight plus arg, read from dens, the widest
+    numerator's bit length kept in bits[0]; 0 for an empty kernel.  Raises
+    _OffWeight(kind, arg, modes), which details.off_weight_kernel names, when
+    a target does not weigh w or the denominator does not divide D, and
     _Carry when a numerator could fill its digit."""
-    den, targets, nums = fock._kernel(kind, arg, _MODES[multiset])
-    parts: Dict[int, int] = {}
-    for t, n in zip(targets, nums):
-        w = _WEIGHTS[t]
-        parts[w] = parts.get(w, 0) + (n << width * _SLOTS[w][1][t])
-    top = max(map(abs, nums), default=0)
-    out = {}
-    for w, packed in parts.items():
-        d = lcm(den, dens[kind, w])
-        b = (top * (d // den)).bit_length()
-        if b >= width - 1:
-            raise _Carry
-        bits[0] = max(bits[0], b)
-        out[w] = (packed * (d // den), d)
-    w = _WEIGHTS[multiset] + arg
-    if not out:
+    modes = _MODES[multiset]
+    den, targets, nums = fock._kernel(kind, arg, modes)
+    if not targets:
         return 0
-    if list(out) == [w] and out[w][1] == dens[kind, w]:
-        return out[w][0]
-    off[kind, arg, multiset] = out
-    return None
+    w = _WEIGHTS[multiset] + arg
+    d = dens[kind, w]
+    if d % den or any(_WEIGHTS[t] != w for t in targets):
+        raise _OffWeight(kind, arg, modes)
+    scale = d // den
+    b = (max(map(abs, nums)) * scale).bit_length()
+    if b >= width - 1:
+        raise _Carry
+    bits[0] = max(bits[0], b)
+    slots = _SLOTS[w][1]
+    return sum(n << width * slots[t] for t, n in zip(targets, nums)) * scale
 
 
-def _unpack(packed: int, w: int, width: int) -> Tuple[list, list]:
-    """The nonzero digits of a packed kernel of target weight w: (targets,
-    numerators)."""
-    order = _SLOTS[w][0]
+def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
+    """(targets, numerators, sum of |numerators|) of the nonzero digits of
+    the packed kernel table[multiset], read at the slots of its target
+    weight; an _OffWeight from table passes through."""
+    packed = table[multiset]
+    order = _SLOTS[_WEIGHTS[multiset] + arg][0]
     half, mask = 1 << (width - 1), (1 << width) - 1
     targets, nums = [], []
     slot = 0
@@ -367,16 +368,6 @@ def _unpack(packed: int, w: int, width: int) -> Tuple[list, list]:
             nums.append(n)
         packed = (packed - n) >> width
         slot += 1
-    return targets, nums
-
-
-def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
-    """(targets, numerators, sum of |numerators|) of the packed kernel
-    table[multiset], or () if it is off its weight."""
-    packed = table[multiset]
-    if packed is None:
-        return ()
-    targets, nums = _unpack(packed, _WEIGHTS[multiset] + arg, width)
     return targets, nums, sum(map(abs, nums))
 
 
@@ -678,7 +669,9 @@ class _LocalApplier:
       kernels: kernels holds {multiset: packed kernel} per (kind,
       argument), at one digit width, and digits the inner operator's
       kernels on the current bucket's basis, unpacked, which the sweep
-      clears at each new bucket.
+      clears at each new bucket.  A kernel off its weight fails the test
+      it meets, and off_weight keeps the first one's (kind, argument,
+      modes) for the report's details.off_weight_kernel.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
       kind through the annihilation expansions in expansions.
     - apply goes through TwistedFock._apply_whole on the same
@@ -695,6 +688,7 @@ class _LocalApplier:
         self.heads = LazyTable(lambda key: fock._head(*key))
         self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
         self.width = _SLOT_BITS
+        self.off_weight = None  # the first _OffWeight key a zero test met
         self._drop_kernels()
 
     def _drop_kernels(self) -> None:
@@ -702,7 +696,6 @@ class _LocalApplier:
         # waits for the cycle collector
         self.kernels: Dict[Tuple[str, int], LazyTable] = {}
         self.digits: Dict[Tuple[str, int], LazyTable] = {}
-        self.off: Dict[tuple, dict] = {}
         self.bits = [0]  # the widest numerator met at this width
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
@@ -711,8 +704,7 @@ class _LocalApplier:
     def _table(self, kind: str, arg: int) -> LazyTable:
         table = self.kernels.get((kind, arg))
         if table is None:
-            fock, dens, width, bits, off = self.fock, self.dens, self.width, self.bits, self.off
-            make = functools.partial(_packed_kernel, fock, dens, kind, arg, width, bits, off)
+            make = functools.partial(_packed_kernel, self.fock, self.dens, kind, arg, self.width, self.bits)
             table = self.kernels[kind, arg] = LazyTable(make)
         return table
 
@@ -722,14 +714,6 @@ class _LocalApplier:
             make = functools.partial(_unpacked, self._table(kind, arg), arg, self.width)
             table = self.digits[kind, arg] = LazyTable(make)
         return table
-
-    def _parts(self, kind: str, arg: int, multiset: int) -> dict:
-        """{target weight: (packed, denominator)} of one kernel as it is."""
-        packed = self._table(kind, arg)[multiset]
-        if packed is None:
-            return self.off[kind, arg, multiset]
-        w = _WEIGHTS[multiset] + arg
-        return {w: (packed, self.dens[kind, w])}
 
     def _check_width(self, bound: int) -> None:
         """A zero sum counts only while its digits, at most bound times the
@@ -741,13 +725,19 @@ class _LocalApplier:
         """Whether sum w * kind(n4) inner e over words (w, kind, n4, inner),
         inner an operator (kind, n4) applied first or None, is zero on every
         basis monomial e of bucket.  Where a packed sum could carry, the
-        kernels are dropped and the test is redone at twice the width."""
+        kernels are dropped and the test is redone at twice the width.  A
+        kernel off its weight fails the test, and the first one met is kept
+        in off_weight."""
         while True:
             try:
                 return self._vanishes_on(bucket, words)
             except _Carry:
                 self.width *= 2
                 self._drop_kernels()
+            except _OffWeight as fault:
+                if self.off_weight is None:
+                    self.off_weight = fault.args
+                return False
 
     def _vanishes_on(self, bucket: BucketKey, words) -> bool:
         # heads, denominators and scalars once per call, over one common
@@ -756,7 +746,7 @@ class _LocalApplier:
         heads, dens = self.heads, self.dens
         c, l = bucket
         weight = l - c * c
-        plan, fast, keys, scalars = [], [], [], []
+        fast, keys, scalars = [], [], []
         for w, kind, n4, inner in words:
             a, b, d = w.a, w.b, w.d
             cin, win, den, digits = c, weight, 1, None
@@ -765,11 +755,9 @@ class _LocalApplier:
                 win += iarg
                 a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
                 den = dens[inner[0], win]
-                inner = (inner[0], iarg)
-                digits = self._digits(*inner)
+                digits = self._digits(inner[0], iarg)
             arg, base, c2 = heads[kind, n4, cin]
             a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
-            plan.append(((a, b, d), kind, arg, c2, inner))
             fast.append((self._table(kind, arg), digits))
             keys.append((c2, win + arg))
             scalars.append((a, b, d * den * dens[kind, win + arg]))
@@ -786,53 +774,16 @@ class _LocalApplier:
             sums = []
             for k, (table, digits) in enumerate(fast):
                 if digits is None:
-                    s = table[e]
-                    if s is None:
-                        break  # a kernel off its weight
-                else:
-                    hit = digits[e]
-                    if not hit:
-                        break
-                    outer = [*map(table.__getitem__, hit[0])]
-                    if None in outer:
-                        break
-                    s = sum(map(mul, hit[1], outer))
-                    if hit[2] > norms[k]:
-                        norms[k] = hit[2]
-                sums.append(s)
-            else:
-                for x, y in checks:
-                    if sum(map(mul, x, sums)) or sum(map(mul, y, sums)):
-                        return False
-                continue
-            if not self._exact_vanishes(plan, e):
-                return False
+                    sums.append(table[e])
+                    continue
+                targets, nums, norm = digits[e]
+                sums.append(sum(map(mul, nums, map(table.__getitem__, targets))))
+                if norm > norms[k]:
+                    norms[k] = norm
+            for x, y in checks:
+                if sum(map(mul, x, sums)) or sum(map(mul, y, sums)):
+                    return False
         self._check_width(sum(map(mul, mags, norms)))
-        return True
-
-    def _exact_vanishes(self, plan, e: int) -> bool:
-        """The zero test on basis monomial e with every kernel at the target
-        weights and denominators it has, summed per target charge and
-        weight: the path taken where a kernel's targets do not weigh what
-        its argument says."""
-        groups: Dict[tuple, list] = {}
-        for (a, b, d), kind, arg, c2, inner in plan:
-            sources = [(a, b, d, e)]
-            if inner is not None:
-                sources = [
-                    (a * n, b * n, d * iden, t)
-                    for iw, (packed, iden) in self._parts(*inner, e).items()
-                    for t, n in zip(*_unpack(packed, iw, self.width))
-                ]
-            for sa, sb, sd, f in sources:
-                for tw, (packed, tden) in self._parts(kind, arg, f).items():
-                    groups.setdefault((c2, tw), []).append(((sa, sb, sd * tden), packed))
-        for items in groups.values():
-            re, im, mags = _rows([scalar for scalar, _ in items])
-            sums = [packed for _, packed in items]
-            if sum(map(mul, re, sums)) or sum(map(mul, im, sums)):
-                return False
-            self._check_width(sum(mags))
         return True
 
     def sum_vanishes(self, kind: str, terms) -> bool:

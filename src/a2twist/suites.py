@@ -71,7 +71,9 @@ def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
     component vanishes off integer modes.  Each relation is checked on the
     bucket's basis vectors by packed zero tests, through one kernel table
     for the sweep, freed when the suite returns.  details.vacuous counts
-    the checks whose target bucket does not exist."""
+    the checks whose target bucket does not exist; details.off_weight_kernel
+    names the first kernel off its weight met (_packed_kernel), whose check
+    fails."""
     rep = Report("linear-relations")
     local = _LocalApplier(fock)
     vacuous = 0
@@ -101,6 +103,8 @@ def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
                     ok, {"relation": "component-coincidence", "bucket": bucket, "n4": n4, "sign": sign}
                 )
     rep.details["vacuous"] = vacuous
+    if local.off_weight:
+        rep.details["off_weight_kernel"] = local.off_weight
     return rep
 
 
@@ -135,7 +139,8 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
     packed zero test per bucket.  The three remaining families follow from
     those by exact sign arithmetic, which is asserted over the whole mode
     range.  details.vacuous counts the per-bucket checks whose target bucket
-    does not exist.
+    does not exist; details.off_weight_kernel names the first kernel off
+    its weight met (_packed_kernel), whose check fails.
     """
     rep = Report("bracket-table")
     odd = [n for n in range(-max_mode4, max_mode4 + 1) if n % 2]
@@ -203,6 +208,8 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
                     ok = pair_ok("a12", m4, key, n4, ZERO)
                     rep.record(ok, {"bracket": ("a12", m4, key, n4), "bucket": bucket})
     rep.details["vacuous"] = vacuous
+    if local.off_weight:
+        rep.details["off_weight_kernel"] = local.off_weight
     return rep
 
 

@@ -1119,30 +1119,58 @@ def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
 
 
-@pytest.mark.parametrize("where", ["head", "kernel"])
-def test_central_kernels_a_weight_step_off_fail_brackets(monkeypatch, where):
-    # a12 images one weight step (two quarters) off: through the head on
+def shift_kernels(monkeypatch, kind):
+    """Patch TwistedFock._kernel so that kind's images land one weight step
+    (two quarters) above what its argument says."""
+    kernel = TwistedFock._kernel
+
+    def shifted_kernel(self, k, arg, modes):
+        return kernel(self, k, arg + 2 if k == kind else arg, modes)
+
+    monkeypatch.setattr(TwistedFock, "_kernel", shifted_kernel)
+
+
+def test_an_off_weight_kernel_fails_its_zero_test(monkeypatch):
+    # [a12(0), a1(-1)] on the vacuum is zero.  With a1's kernels a weight
+    # step off, the two words still cancel where each image lands, so only
+    # reading such a kernel as a fault makes the test fail
+    words = [(ONE, "a12", 0, ("a1", -1)), (GaussianRational(-1), "a1", -1, ("a12", 0))]
+    local = _LocalApplier(TwistedFock())
+    assert local.bucket_vanishes((0, 0), words) and local.off_weight is None
+    shift_kernels(monkeypatch, "a1")
+    local = _LocalApplier(TwistedFock())
+    assert not local.bucket_vanishes((0, 0), words)
+    assert local.off_weight[0] == "a1"
+
+
+@pytest.mark.parametrize(
+    "where,kind", [("head", "a12"), ("kernel", "a12"), ("kernel", "a1")], ids=["head", "kernel", "a1-kernel"]
+)
+def test_central_kernels_a_weight_step_off_fail_brackets(monkeypatch, where, kind):
+    # images of kind one weight step (two quarters) off: through the head on
     # source charge 1, so they land in a bucket the other words do not
     # reach, or through the kernel on every charge, so its targets do not
-    # weigh what its argument says.  Both must come back as failed checks,
-    # not as an exception or a digit read at another weight's slot
-    head, kernel = TwistedFock._head, TwistedFock._kernel
+    # weigh what its argument says.  Each must come back as failed checks,
+    # not as an exception or a digit read at another weight's slot, and
+    # only a shifted kernel is named as off its weight
+    head = TwistedFock._head
 
-    def shifted_head(self, kind, n4, c):
-        arg, base, c2 = head(self, kind, n4, c)
-        return (arg + 2 if kind == "a12" and c == 1 else arg), base, c2
-
-    def shifted_kernel(self, kind, arg, modes):
-        return kernel(self, kind, arg + 2 if kind == "a12" else arg, modes)
+    def shifted_head(self, k, n4, c):
+        arg, base, c2 = head(self, k, n4, c)
+        return (arg + 2 if k == kind and c == 1 else arg), base, c2
 
     if where == "head":
         monkeypatch.setattr(TwistedFock, "_head", shifted_head)
     else:
-        monkeypatch.setattr(TwistedFock, "_kernel", shifted_kernel)
-    rep = check_brackets(TwistedFock(), 12, max_mode4=8)
-    assert not rep.passed and rep.failures
-    if where == "head":
-        assert {f["bucket"][0] for f in rep.failures} <= {0, 1}
+        shift_kernels(monkeypatch, kind)
+    fock = TwistedFock()
+    for rep in (check_linear_relations(fock, 12), check_brackets(fock, 12, max_mode4=8)):
+        assert not rep.passed and rep.failures
+        if where == "head":
+            assert "off_weight_kernel" not in rep.details
+            assert {f["bucket"][0] for f in rep.failures} <= {0, 1}
+        else:
+            assert rep.details["off_weight_kernel"][0] == kind
 
 
 def test_exchange_reads_the_engines_contraction_factors():
