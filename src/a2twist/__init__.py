@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .scalar import ExactMatrix, GaussianRational
 from .fock import FockVector, TwistedFock, enumerate_bucket
-from .envelope import EnvElement, ModeGen, make_R0
-from .analyzer import GradedTable, PrincipalSubspace, graded_dimension, partition_oracle
+from .envelope import EnvElement, make_R0
+from .analyzer import PrincipalSubspace, partition_oracle
 
 __all__ = [
     "ExactMatrix",
@@ -16,11 +16,8 @@ __all__ = [
     "TwistedFock",
     "enumerate_bucket",
     "EnvElement",
-    "ModeGen",
     "make_R0",
-    "GradedTable",
     "PrincipalSubspace",
-    "graded_dimension",
     "partition_oracle",
     "__version__",
 ]

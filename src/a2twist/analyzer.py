@@ -42,22 +42,6 @@ def partition_oracle(m: int, n: int) -> int:
     return sum(1 for _ in distinct_odd_partitions(n, m))
 
 
-class GradedTable:
-    """Bucket dimensions of the principal subspace up to a weight cutoff."""
-
-    def __init__(self, cutoff: int, dims: Dict[BucketKey, int]):
-        self.cutoff = cutoff
-        self.entries: Dict[BucketKey, int] = {}
-        for l in range(cutoff + 1):
-            for k in range(l + 1):
-                self.entries[(k, l)] = dims.get((k, l), 0)
-
-    def dim(self, k: int, l: int) -> int:
-        if k < 0 or l < 0:
-            return 0
-        return self.entries.get((k, l), 0)
-
-
 class PrincipalSubspace:
     """Charge/weight-graded bases of the subspace generated from the vacuum
     by the negative simple and central component modes."""
@@ -87,52 +71,44 @@ class PrincipalSubspace:
                 out.extend(v for v in self.fock.apply_batch("a12", -b4, src, table) if not v.is_zero())
         return out
 
-    def _reduce_bucket(self, key: BucketKey) -> List[FockVector]:
-        return EchelonBasis().extend(self._candidates(*key))
-
     def _build(self) -> None:
         self.bases[(0, 0)] = [self.fock.vacuum()]
         kmax = isqrt(self.cutoff)
         for k in range(1, kmax + 1):
             for l in range(k * k, self.cutoff + 1):
                 if bucket_exists(k, l):
-                    res = self._reduce_bucket((k, l))
+                    res = EchelonBasis().extend(self._candidates(k, l))
                     if res:
                         self.bases[(k, l)] = res
         self._level, self._expansions = None, {}
 
-    def dims(self) -> Dict[BucketKey, int]:
-        return {key: len(b) for key, b in self.bases.items()}
-
-    def table(self) -> GradedTable:
-        return GradedTable(self.cutoff, self.dims())
+    def table(self) -> Dict[BucketKey, int]:
+        """{(charge, qweight): dimension} for every 0 <= charge <= qweight <=
+        cutoff, empty buckets included."""
+        return {(k, l): len(self.basis(k, l)) for l in range(self.cutoff + 1) for k in range(l + 1)}
 
     def basis(self, k: int, l: int) -> List[FockVector]:
         return self.bases.get((k, l), [])
 
 
-def graded_dimension(fock: TwistedFock, cutoff: int) -> GradedTable:
-    return PrincipalSubspace(fock, cutoff).table()
-
-
-def check_oracle(table: GradedTable) -> Report:
+def check_oracle(table: Dict[BucketKey, int]) -> Report:
     """The central identity: bucket dimensions equal the number of
     partitions into distinct odd parts, exactly, bucket by bucket."""
     rep = Report("partition-oracle")
-    for (k, l), d in sorted(table.entries.items()):
+    for (k, l), d in sorted(table.items()):
         expected = partition_oracle(k, l)
         rep.record(d == expected, {"bucket": (k, l), "dim": d, "oracle": expected})
     return rep
 
 
-def check_recursion(table: GradedTable) -> Report:
+def check_recursion(table: Dict[BucketKey, int]) -> Report:
     """dim(k, l) = dim(k, l - 2k) + dim(k - 1, l - 2k + 1), out-of-range
     entries read as zero, with dim(0, 0) = 1."""
     rep = Report("recursion")
-    ok0 = table.dim(0, 0) == 1
+    ok0 = table.get((0, 0), 0) == 1
     rep.record(ok0, {"bucket": (0, 0)})
-    for (k, l), d in sorted(table.entries.items()):
-        want = table.dim(k, l - 2 * k) + table.dim(k - 1, l - 2 * k + 1)
+    for (k, l), d in sorted(table.items()):
+        want = table.get((k, l - 2 * k), 0) + table.get((k - 1, l - 2 * k + 1), 0)
         if k == 0:
             want = 1 if l == 0 else 0
         rep.record(d == want, {"bucket": (k, l), "dim": d, "recursion": want})
@@ -193,7 +169,7 @@ def check_exact_sequence(fock: TwistedFock, space: PrincipalSubspace, cutoff: in
     return rep
 
 
-def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Report:
+def check_presentation(fock: TwistedFock, table: Dict[BucketKey, int], cutoff: int) -> Report:
     """Per bucket: the PBW monomial count minus the rank of the projected
     relation ideal equals the subspace dimension, and the evaluation map
     kills the whole ideal slice.  Each PBW monomial is evaluated on the
@@ -214,7 +190,7 @@ def check_presentation(fock: TwistedFock, table: GradedTable, cutoff: int) -> Re
                 continue
             span = slice_.bucket_span(k, l)
             rank = _slice_rank(span, monos)
-            want = table.dim(k, l)
+            want = table.get((k, l), 0)
             rep.record(
                 len(monos) - rank == want,
                 {

@@ -53,17 +53,16 @@ def _emit_json(doc: dict) -> None:
 
 
 def _table_rows(fock: TwistedFock, cutoff: int):
-    table = PrincipalSubspace(fock, cutoff).table()
     rows = []
-    for (k, l), d in sorted(table.entries.items()):
+    for (k, l), d in sorted(PrincipalSubspace(fock, cutoff).table().items()):
         oracle = partition_oracle(k, l)
         rows.append({"charge": k, "qweight": l, "dim": d, "oracle": oracle, "match": d == oracle})
-    return table, rows
+    return rows
 
 
 def cmd_dims(args) -> int:
     fock = TwistedFock()
-    table, rows = _table_rows(fock, args.cutoff)
+    rows = _table_rows(fock, args.cutoff)
     all_match = all(r["match"] for r in rows)
     if args.format == "json":
         _emit_json(

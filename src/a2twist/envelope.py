@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import FockVector, TwistedFock
 from .scalar import LazyTable, ONE, SparseVector, i_power
@@ -27,23 +27,6 @@ from .suites import Report
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 ONE_MONO: PBWMonomial = ((), ())
-
-
-class ModeGen(NamedTuple):
-    label: str  # "u" or "z"
-    n4: int  # mode index in quarter units
-
-    @classmethod
-    def u(cls, n4: int) -> "ModeGen":
-        if n4 % 2 == 0:
-            raise ValueError("u modes live on quarter-odd indices")
-        return cls("u", n4)
-
-    @classmethod
-    def z(cls, n4: int) -> "ModeGen":
-        if n4 % 4:
-            raise ValueError("z modes live on integer indices")
-        return cls("z", n4)
 
 
 def _u_sort_key(n4: int) -> int:
@@ -126,20 +109,12 @@ class EnvElement(SparseVector):
             if not placed:
                 self.add_term((tuple(sorted(z, reverse=True)), u), cf)
 
-    def right_mul_gen(self, gen: ModeGen) -> "EnvElement":
+    def right_mul_u(self, n4: int) -> "EnvElement":
+        """self times u(n4/4)."""
         out = EnvElement()
         for (z, u), coeff in self.terms.items():
-            if gen.label == "z":
-                out._accumulate_raw(z + (gen.n4,), u, coeff)
-            else:
-                out._accumulate_raw(z, u + (gen.n4,), coeff)
+            out._accumulate_raw(z, u + (n4,), coeff)
         return out
-
-    def left_mul_gen(self, gen: ModeGen) -> "EnvElement":
-        """gen times self, in closed form on canonical terms."""
-        if gen.label == "z":
-            return self._left_mul_word((gen.n4,), ())
-        return self._left_mul_word((), (gen.n4,))
 
     def _left_mul_word(self, z: Tuple[int, ...], u: Tuple[int, ...]) -> "EnvElement":
         """z(z) u(u) times self, u's letters moved into each term from the
@@ -211,8 +186,8 @@ class EnvElement(SparseVector):
 
     def psi(self) -> "EnvElement":
         """Inverse shift followed by right multiplication by the lowest
-        simple-component mode."""
-        return self.shift(-1).right_mul_gen(ModeGen.u(-1))
+        simple-component mode u(-1/4)."""
+        return self.shift(-1).right_mul_u(-1)
 
     # -- evaluation into the module ------------------------------------------
 
@@ -446,14 +421,13 @@ def check_ideal_stability() -> Report:
     # Companion map: psi(shift(a)) = a * u(-1/4) exactly, so the residual
     # content is the decomposition of g*u(-1/4) - u(-1/4)*g against the
     # generator one quarter up.
-    u_low = ModeGen.u(-1)
     for t4 in range(2, t4_max + 1, 2):
         g = make_R0(R1, t4)
         rep.record(
-            g.shift(1).psi() == g.right_mul_gen(u_low),
+            g.shift(1).psi() == g.right_mul_u(-1),
             {"identity": "companion-exactness", "kind": R1, "t4": t4},
         )
-        diff = g.right_mul_gen(u_low) - g.left_mul_gen(u_low)
+        diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
         if t4 + 1 < 5:
             rep.record(_is_positive_part(diff), {"identity": "companion-low", "kind": R1, "t4": t4})
             continue
@@ -464,11 +438,11 @@ def check_ideal_stability() -> Report:
         rep.record(ok, {"identity": "companion-decomposition", "kind": R1, "t4": t4})
     for t4 in range(8, t4_max + 1, 4):
         g = make_R0(R12, t4)
-        diff = g.right_mul_gen(u_low) - g.left_mul_gen(u_low)
+        diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
         rep.record(diff.is_zero(), {"identity": "companion-central", "kind": R12, "t4": t4})
     for t4 in range(5, t4_max + 1, 2):
         g = make_R0(R121, t4)
-        diff = g.right_mul_gen(u_low) - g.left_mul_gen(u_low)
+        diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
         if t4 + 1 < 8 or (t4 + 1) % 4:
             rep.record(diff.is_zero(), {"identity": "companion-low", "kind": R121, "t4": t4})
             continue

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 from operator import itemgetter, mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .groups import HAT_LNU, CosetModel, TauTable, section
 from .lattice import ALPHA1, ALPHA2, THETA, LatticeVector, gram, nu, project_lattice
@@ -608,13 +608,10 @@ class TwistedFock:
         return self._apply_whole(kind, n4, vec, self._mono_cache)
 
     def apply_batch(
-        self, kind: str, n4: int, vectors: Sequence[FockVector], table: Optional[Dict[tuple, tuple]] = None
+        self, kind: str, n4: int, vectors: Sequence[FockVector], table: Dict[tuple, tuple]
     ) -> List[FockVector]:
         """Apply one operator to many vectors, its expansions or kernels
-        kept in table: one the caller holds across batches, or by default a
-        table of this call's own (nothing retained afterwards)."""
-        if table is None:
-            table = {}
+        kept in table, which the caller holds and drops."""
         return [self._apply_whole(kind, n4, vec, table) for vec in vectors]
 
     # -- operator metadata ---------------------------------------------------
@@ -646,7 +643,7 @@ class TwistedFock:
         tgt_monos = enumerate_bucket(*self.target_bucket(kind, n4, src))
         index = {m: i for i, m in enumerate(tgt_monos)}
         mat = ExactMatrix(len(tgt_monos), len(src_monos))
-        for j, image in enumerate(self.apply_batch(kind, n4, [FockVector.unit(m) for m in src_monos])):
+        for j, image in enumerate(self.apply_batch(kind, n4, [FockVector.unit(m) for m in src_monos], {})):
             for mono, coeff in image.terms.items():
                 mat[index[mono], j] = coeff
         self._matrix_cache[key] = mat

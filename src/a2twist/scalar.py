@@ -123,9 +123,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        return _reduced(self.a, -self.b, self.d)
-
     def __repr__(self):
         re, im = self.re, self.im
         if not im:

@@ -5,7 +5,6 @@ import pytest
 
 from a2twist import envelope
 from a2twist.analyzer import (
-    GradedTable,
     PrincipalSubspace,
     _slice_rank,
     check_exact_sequence,
@@ -14,7 +13,6 @@ from a2twist.analyzer import (
     check_presentation,
     check_recursion,
     distinct_odd_partitions,
-    graded_dimension,
     partition_oracle,
     solve_raising_constant,
 )
@@ -61,14 +59,14 @@ def test_oracle_against_brute_enumeration():
 
 def test_small_dimensions(space):
     table = space.table()
-    assert table.dim(0, 0) == 1
+    assert table[0, 0] == 1
     for l in range(1, 17):
-        assert table.dim(1, l) == (1 if l % 2 else 0)
-    assert table.dim(2, 4) == 1
-    assert table.dim(2, 2) == 0
-    assert table.dim(2, 8) == 2
-    assert table.dim(3, 9) == 1
-    assert table.dim(4, 16) == 1
+        assert table[1, l] == (1 if l % 2 else 0)
+    assert table[2, 4] == 1
+    assert table[2, 2] == 0
+    assert table[2, 8] == 2
+    assert table[3, 9] == 1
+    assert table[4, 16] == 1
 
 
 def test_oracle_and_recursion(space):
@@ -78,9 +76,8 @@ def test_oracle_and_recursion(space):
 
 
 def test_recursion_detects_corruption(space):
-    dims = dict(space.dims())
-    dims[(2, 8)] = 5
-    broken = GradedTable(16, dims)
+    broken = space.table()
+    broken[(2, 8)] = 5
     assert not check_recursion(broken).passed
     assert not check_oracle(broken).passed
 
@@ -138,7 +135,7 @@ def test_repeat_build_determinism(fock):
     # down to the order of each vector's terms
     a = PrincipalSubspace(fock, 12)
     b = PrincipalSubspace(TwistedFock(), 12)
-    assert a.dims() == b.dims()
+    assert a.table() == b.table()
     for key in a.bases:
         assert [list(v.terms.items()) for v in a.bases[key]] == [list(v.terms.items()) for v in b.bases[key]]
 
@@ -165,9 +162,9 @@ def test_candidates_after_the_build_match_a_fresh_build():
 
 
 def test_graded_dimension_helper(fock):
-    table = graded_dimension(fock, 8)
-    assert table.dim(2, 6) == 1
-    assert table.entries[(5, 7)] == 0
+    table = PrincipalSubspace(fock, 8).table()
+    assert table[2, 6] == 1
+    assert table[5, 7] == 0
 
 
 # --- fault injection: the presentation suite must catch a broken envelope ---
@@ -175,7 +172,7 @@ def test_graded_dimension_helper(fock):
 
 def test_dropped_bracket_fails_presentation(fock, monkeypatch):
     monkeypatch.setattr(envelope, "bracket_uu_coeff", lambda m4, n4: None)
-    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+    assert not check_presentation(fock, PrincipalSubspace(fock, 10).table(), 10).passed
 
 
 def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):
@@ -185,7 +182,7 @@ def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):
         return vacuum_image(fock_, ((), mono[1]), table)
 
     monkeypatch.setattr(envelope, "vacuum_image", mutant)
-    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+    assert not check_presentation(fock, PrincipalSubspace(fock, 10).table(), 10).passed
 
 
 def test_negated_bracket_fails_presentation(fock, monkeypatch):
@@ -196,7 +193,7 @@ def test_negated_bracket_fails_presentation(fock, monkeypatch):
         return None if br is None else -br
 
     monkeypatch.setattr(envelope, "bracket_uu_coeff", mutant)
-    assert not check_presentation(fock, graded_dimension(fock, 10), 10).passed
+    assert not check_presentation(fock, PrincipalSubspace(fock, 10).table(), 10).passed
 
 
 # --- the slice rank that stops eliminating once the slice is full -----------
@@ -231,7 +228,7 @@ def test_stray_vector_in_a_full_slice_fails_presentation(fock, monkeypatch):
         return [stray] + span if (charge, qweight4) == (4, 8) else span
 
     monkeypatch.setattr(IdealSlice, "bucket_span", mutant)
-    rep = check_presentation(fock, graded_dimension(fock, 10), 10)
+    rep = check_presentation(fock, PrincipalSubspace(fock, 10).table(), 10)
     assert not rep.passed
     (failure,) = [f for f in rep.failures if "ideal_rank" in f]
     exact = len(EchelonBasis().extend(mutant(IdealSlice(), 4, 8)))

@@ -172,3 +172,11 @@ def test_mismatch_exits_1(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--suites", "relations", "--cutoff", "4", "--format", "json"])
     assert code == 1
     assert json.loads(out)["suites"][0]["pass"] is False
+
+
+def test_every_exported_name_exists():
+    # `from a2twist import *` reads __all__, so a name left there after its
+    # definition is gone would fail on import
+    import a2twist
+
+    assert [name for name in a2twist.__all__ if not hasattr(a2twist, name)] == []

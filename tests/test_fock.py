@@ -496,7 +496,7 @@ def all_paths(fock, kind, n4, vectors, local=None):
     return {
         "apply": cold,
         "apply-cached": [fock.apply(kind, n4, v) for v in vectors],
-        "apply_batch": fock.apply_batch(kind, n4, vectors),
+        "apply_batch": fock.apply_batch(kind, n4, vectors, {}),
         "local": [local.apply(kind, n4, v) for v in vectors],
         "matrix": [matrix_apply(fock, kind, n4, v) for v in vectors],
     }
@@ -681,7 +681,7 @@ def test_multiplicity_guard_stops_apply(monkeypatch):
     with pytest.raises(OverflowError):
         fock.apply("a12", -8, deep)
     with pytest.raises(OverflowError):
-        fock.apply_batch("a12", -8, [FockVector.unit(((2,), 0)), deep])
+        fock.apply_batch("a12", -8, [FockVector.unit(((2,), 0)), deep], {})
     assert fock._mono_cache == {}  # refused before any annihilation
 
 
