@@ -8,7 +8,7 @@ shift-morphism identities.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .envelope import EnvElement, IdealSlice, PBWMonomial, pbw_monomials, vacuum_image
 from .fock import BucketKey, FockVector, TwistedFock, bucket_exists, sigma_factor
@@ -119,7 +119,7 @@ def _rank_of(vectors: Iterable) -> int:
     return len(EchelonBasis().extend(vectors))
 
 
-def _slice_rank(span: List[EnvElement], monos: List[PBWMonomial]) -> int:
+def _slice_rank(span: List[EnvElement], monos: Sequence[PBWMonomial]) -> int:
     """The exact rank of span.  len(monos) rows that all lie among monos
     span every vector there, so a later such vector is dependent and is
     skipped; after one stray vector (a key outside monos) every vector is
@@ -185,7 +185,7 @@ def check_presentation(fock: TwistedFock, table: Dict[BucketKey, int], cutoff: i
         # charges beyond sqrt(l) have no module bucket, but the enveloping
         # algebra still has monomials there; the ideal must fill the slice.
         for k in range(l + 1):
-            monos = pbw_monomials(k, l)
+            monos = slice_.monomials[k, l]
             if not monos and not bucket_exists(k, l):
                 continue
             span = slice_.bucket_span(k, l)

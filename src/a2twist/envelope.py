@@ -63,6 +63,26 @@ def monomial_negative(mono: PBWMonomial) -> bool:
     return all(m < 0 for m in z) and all(n < 0 for n in u)
 
 
+def _right_step(terms: Dict, a: int) -> Dict:
+    """terms times u(a), terms {(central modes, canonical word): coeff}.
+    u(a) enters each word from the right, passes the trailing letters v
+    that sort after it and stops in canonical position; passing v leaves
+    [u(v), u(a)] times the word without v, which is still canonical."""
+    key = _u_sort_key(a)
+    out = {}
+    for (zs, w), cf in terms.items():
+        p = len(w)
+        while p and _u_sort_key(w[p - 1]) > key:
+            p -= 1
+            br = bracket_uu_coeff(w[p], a)
+            if br is not None:
+                t = (zs + (w[p] + a,), w[:p] + w[p + 1 :])
+                out[t] = out[t] + cf * br if t in out else cf * br
+        t = (zs, w[:p] + (a,) + w[p:])
+        out[t] = out[t] + cf if t in out else cf
+    return out
+
+
 class EnvElement(SparseVector):
     """Finite Q(i)-combination of canonical PBW monomials."""
 
@@ -110,39 +130,25 @@ class EnvElement(SparseVector):
                 self.add_term((tuple(sorted(z, reverse=True)), u), cf)
 
     def right_mul_u(self, n4: int) -> "EnvElement":
-        """self times u(n4/4)."""
+        """self times u(n4/4), one right-insertion step."""
         out = EnvElement()
-        for (z, u), coeff in self.terms.items():
-            out._accumulate_raw(z, u + (n4,), coeff)
+        for (zs, w), cf in _right_step(self.terms, n4).items():
+            out.add_term((tuple(sorted(zs, reverse=True)), w), cf)
         return out
 
     def _left_mul_word(self, z: Tuple[int, ...], u: Tuple[int, ...]) -> "EnvElement":
-        """z(z) u(u) times self, u's letters moved into each term from the
-        right.  u(n) passes the leading modes a_j that sort before it and
-        lands in canonical position; passing each a_j leaves [u(n), u(a_j)]
-        times the word without a_j, which is still canonical.  One scan per
-        letter finds both; the central modes, z's and the brackets', are
-        merged into each term once, at the end, where cancelled terms drop."""
-        cur = self.terms  # (central modes, unsorted; word) -> coeff
-        for n4 in reversed(u):
-            key = _u_sort_key(n4)
-            nxt = {}
-            for (zs, w), cf in cur.items():
-                p = 0
-                for a in w:
-                    if _u_sort_key(a) >= key:
-                        break
-                    br = bracket_uu_coeff(n4, a)
-                    if br is not None:
-                        t = (zs + (n4 + a,), w[:p] + w[p + 1 :])
-                        nxt[t] = nxt[t] + cf * br if t in nxt else cf * br
-                    p += 1
-                t = (zs, w[:p] + (n4,) + w[p:])
-                nxt[t] = nxt[t] + cf if t in nxt else cf
-            cur = nxt
+        """z(z) u(u) times self, for a canonical u.  Each term of self starts
+        from the single word u, carrying the term's coefficient, and its
+        letters move into that word from the right, one _right_step each.
+        The central modes, z's, the term's and the brackets', are merged
+        into each word once, at the end, where cancelled terms drop."""
         out = EnvElement()
-        for (zs, w), cf in cur.items():
-            out.add_term((tuple(sorted(zs + z, reverse=True)), w), cf)
+        for (hz, hw), hc in self.terms.items():
+            cur = {(hz, u): hc}  # (central modes, unsorted; word) -> coeff
+            for a in hw:
+                cur = _right_step(cur, a)
+            for (zs, w), cf in cur.items():
+                out.add_term((tuple(sorted(zs + z, reverse=True)), w), cf)
         return out
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
@@ -343,18 +349,19 @@ class IdealSlice:
     a configurable slack, which the tests widen to confirm saturation.
 
     Each generator is dressed once, and each PBW monomial list read once;
-    both are kept for the life of the slice.  Each product is formed in
-    one pass over the PBW word, and nothing else is kept.  A bucket's
-    spanning vectors lie among its PBW monomials, so a slice whose rank
-    reaches their number is full: the presentation suite stops
-    eliminating there.
+    both are kept for the life of the slice, and the presentation suite
+    reads its buckets' lists from monomials too.  Each product moves the
+    dressed generator's few letters into the PBW word from the right, and
+    nothing else is kept.  A bucket's spanning vectors lie among its PBW
+    monomials, so a slice whose rank reaches their number is full: the
+    presentation suite stops eliminating there.
     """
 
     def __init__(self, slack4: int = 0):
         # (kind, t4) -> [(dressed generator, its grade)]
         self._dressed = LazyTable(lambda key: _dress(*key, slack4))
         # (charge, qweight4) -> its PBW monomials
-        self._monomials = LazyTable(lambda key: tuple(pbw_monomials(*key)))
+        self.monomials = LazyTable(lambda key: tuple(pbw_monomials(*key)))
 
     def bucket_span(self, charge: int, qweight4: int) -> List[EnvElement]:
         """Spanning set of the ideal's projection in one graded piece: each
@@ -368,7 +375,7 @@ class IdealSlice:
                 dk, dq = charge - gk, qweight4 - gq
                 if dk < 0 or dq < dk:  # each creation generator costs at least 1 quarter
                     continue
-                for z, u in self._monomials[(dk, dq)]:
+                for z, u in self.monomials[(dk, dq)]:
                     elt = h._left_mul_word(z, u)
                     if not elt.is_zero():
                         out.append(elt)

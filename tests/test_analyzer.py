@@ -175,6 +175,24 @@ def test_dropped_bracket_fails_presentation(fock, monkeypatch):
     assert not check_presentation(fock, PrincipalSubspace(fock, 10).table(), 10).passed
 
 
+def test_dropped_first_pass_bracket_fails_presentation(fock, monkeypatch):
+    # a letter moving into a word loses its bracket with the first letter it passes
+    right_step = envelope._right_step
+    key = envelope._u_sort_key
+
+    def mutant(terms, a):
+        out = right_step(terms, a)
+        for (zs, w), cf in terms.items():
+            br = w and key(w[-1]) > key(a) and envelope.bracket_uu_coeff(w[-1], a)
+            if br:
+                t = (zs + (w[-1] + a,), w[:-1])
+                out[t] = out[t] - cf * br
+        return out
+
+    monkeypatch.setattr(envelope, "_right_step", mutant)
+    assert not check_presentation(fock, PrincipalSubspace(fock, 12).table(), 12).passed
+
+
 def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):
     vacuum_image = envelope.vacuum_image
 

@@ -373,6 +373,14 @@ def test_closed_form_left_mul_matches_stack_path():
             assert _left_mul(x, g) == _stack_left_mul(x, g), (x, g)
 
 
+def test_right_mul_matches_product_with_letter():
+    rng = random.Random(41)
+    for _ in range(200):
+        x = _random_canonical(rng, rng.randint(1, 4))
+        for n4 in rng.sample(range(-9, 10, 2), 4):
+            assert x.right_mul_u(n4) == x * EnvElement.monomial([], [n4]), (x, n4)
+
+
 def test_word_product_matches_letter_chain_and_stack_path():
     rng = random.Random(37)
     odd = [-7, -5, -3, -1, 1, 3, 5]
@@ -380,8 +388,8 @@ def test_word_product_matches_letter_chain_and_stack_path():
         z = tuple(sorted((rng.choice([-8, -4, 0, 4]) for _ in range(rng.randint(0, 2))), reverse=True))
         u = u_canonical([rng.choice(odd) for _ in range(rng.randint(1, 4))])
         x = _random_canonical(rng, rng.randint(1, 4))
-        # u(a)u(n) - [u(n), u(a)] for the first letter moved in, n: the bracket
-        # left by passing u(a) cancels the product of the second term
+        # u(a)u(n) - [u(n), u(a)], n the last letter of u: the bracket left
+        # where u(a) and u(n) change places cancels the second term's product
         n = u[-1]
         partners = [a for a in odd if (a + n) % 4 == 0 and _u_sort_key(a) < _u_sort_key(n)]
         if partners:
