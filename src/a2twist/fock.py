@@ -326,15 +326,18 @@ class _OffWeight(Exception):
     divide D: only a faulty engine makes one."""
 
 
-def _packed_kernel(fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int) -> int:
-    """fock._kernel(kind, arg, multiset) as one int of width-bit digits over
-    D(kind, w), w the multiset's weight plus arg, read from dens, the widest
-    numerator's bit length kept in bits[0]; 0 for an empty kernel.  Raises
-    _OffWeight(kind, arg, modes), which details.off_weight_kernel names, when
-    a target does not weigh w or the denominator does not divide D, and
-    _Carry when a numerator could fill its digit."""
+def _packed_kernel(
+    fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int, annihilations: dict
+) -> int:
+    """fock._kernel(kind, arg, multiset, annihilations) as one int of
+    width-bit digits over D(kind, w), w the multiset's weight plus arg, read
+    from dens, the widest numerator's bit length kept in bits[0]; 0 for an
+    empty kernel.  Raises _OffWeight(kind, arg, modes), which
+    details.off_weight_kernel names, when a target does not weigh w or the
+    denominator does not divide D, and _Carry when a numerator could fill
+    its digit."""
     modes = _MODES[multiset]
-    den, targets, nums = fock._kernel(kind, arg, modes)
+    den, targets, nums = fock._kernel(kind, arg, modes, annihilations)
     if not targets:
         return 0
     w = _WEIGHTS[multiset] + arg
@@ -430,9 +433,10 @@ class TwistedFock:
     #
     # There are two ways to apply a vertex component.  Packed kernels
     # (_packed_kernel, which _LocalApplier.bucket_vanishes reads) serve the
-    # relation and bracket zero tests: a kernel is one int, re-read about 20
-    # times over those sweeps at cutoff 16, an inner image's numerators
-    # scale whole outer kernels in C, and no target is decoded.
+    # relation and bracket zero tests: a kernel is one int, built from the
+    # sweep's annihilation expansions and re-read about 20 times over those
+    # sweeps at cutoff 16, an inner image's numerators scale whole outer
+    # kernels in C, and no target is decoded.
     # Annihilate, merge, create (_convolve) serves everything else: apply,
     # apply_batch, the quadratic sweep's first-level unit images and its
     # zero tests.  The leftovers of all the source monomials of a sum of one
@@ -465,11 +469,16 @@ class TwistedFock:
             return 2 * c, i_power(c) if c >= 0 else ONE, c
         raise ValueError("unknown operator kind %r" % kind)
 
-    def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...]) -> Tuple[int, tuple, list]:
+    def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...], annihilations: dict) -> Tuple[int, tuple, list]:
+        """The kernel (den, packed targets, numerators) of kind at arg on
+        modes; a vertex kind reads the annihilation expansion of modes from
+        annihilations under (kind, modes), adding it there when missing."""
         data = self.vertex.get(kind)
         if data is not None:
             _check_room(sum(modes) + arg)  # the mode sum of every target
-            terms = _annihilation_terms(modes, -data.f0, -data.f2)
+            terms = annihilations.get((kind, modes))
+            if terms is None:
+                terms = annihilations[kind, modes] = _annihilation_terms(modes, -data.f0, -data.f2)
             lefts = [(arg + h4, left, afac) for h4, afac, left in terms if arg + h4 >= 0]
             accs, den = _create(data.f0, data.f2, [(0, 0, lefts)])
             acc = accs[0][0]
@@ -500,7 +509,7 @@ class TwistedFock:
         it, and perfbench hooks it (fock.images)."""
         modes, c = mono
         arg, base, c2 = self._head(kind, n4, c)
-        den, targets, nums = self._kernel(kind, arg, modes)
+        den, targets, nums = self._kernel(kind, arg, modes, {})
         return base.scale_frac(Fraction(1, den)), tuple(zip(map(_MONOS[c2].__getitem__, targets), nums))
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
@@ -587,7 +596,7 @@ class TwistedFock:
             key = (kind, arg, modes)
             kernel = kernels.get(key)
             if kernel is None:
-                kernel = kernels[key] = self._kernel(*key)
+                kernel = kernels[key] = self._kernel(*key, {})
             den, targets, nums = kernel
             s = coeff * base
             a, b, d = s.a, s.b, s.d * den
@@ -664,11 +673,13 @@ class _LocalApplier:
 
     - bucket_vanishes, the relation and bracket zero test, reads packed
       kernels: kernels holds {multiset: packed kernel} per (kind,
-      argument), at one digit width, and digits the inner operator's
-      kernels on the current bucket's basis, unpacked, which the sweep
-      clears at each new bucket.  A kernel off its weight fails the test
-      it meets, and off_weight keeps the first one's (kind, argument,
-      modes) for the report's details.off_weight_kernel.
+      argument), at one digit width, built from the expansions in
+      annihilations; zero whether a (kind, argument)'s kernels are all
+      empty on the multisets of a weight; and digits the inner operator's
+      kernels on the current bucket's basis, unpacked.  The bracket sweep
+      clears digits, annihilations and zero at each new bucket.  A kernel
+      off its weight fails the test it meets, and off_weight keeps the
+      first one's (kind, argument, modes) for details.off_weight_kernel.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
       kind through the annihilation expansions in expansions.
     - apply goes through TwistedFock._apply_whole on the same
@@ -684,6 +695,7 @@ class _LocalApplier:
         # per sweep: heads by (kind, n4, source charge), D by (kind, target weight)
         self.heads = LazyTable(lambda key: fock._head(*key))
         self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
+        self.annihilations: Dict[tuple, list] = {}  # (kind, modes) -> _annihilation_terms, what _kernel reads
         self.width = _SLOT_BITS
         self.off_weight = None  # the first _OffWeight key a zero test met
         self._drop_kernels()
@@ -693,6 +705,7 @@ class _LocalApplier:
         # waits for the cycle collector
         self.kernels: Dict[Tuple[str, int], LazyTable] = {}
         self.digits: Dict[Tuple[str, int], LazyTable] = {}
+        self.zero: Dict[Tuple[str, int, int], bool] = {}  # (kind, argument, weight) -> all its kernels empty
         self.bits = [0]  # the widest numerator met at this width
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
@@ -701,7 +714,9 @@ class _LocalApplier:
     def _table(self, kind: str, arg: int) -> LazyTable:
         table = self.kernels.get((kind, arg))
         if table is None:
-            make = functools.partial(_packed_kernel, self.fock, self.dens, kind, arg, self.width, self.bits)
+            make = functools.partial(
+                _packed_kernel, self.fock, self.dens, kind, arg, self.width, self.bits, annihilations=self.annihilations
+            )
             table = self.kernels[kind, arg] = LazyTable(make)
         return table
 
@@ -721,10 +736,11 @@ class _LocalApplier:
     def bucket_vanishes(self, bucket: BucketKey, words) -> bool:
         """Whether sum w * kind(n4) inner e over words (w, kind, n4, inner),
         inner an operator (kind, n4) applied first or None, is zero on every
-        basis monomial e of bucket.  Where a packed sum could carry, the
-        kernels are dropped and the test is redone at twice the width.  A
-        kernel off its weight fails the test, and the first one met is kept
-        in off_weight."""
+        basis monomial e of bucket, leaving out each word whose outer kernels
+        are all empty at the weight it reads.  Where a packed sum could
+        carry, the kernels and the zero table are dropped and the test is
+        redone at twice the width.  A kernel off its weight fails the test,
+        and the first one met is kept in off_weight."""
         while True:
             try:
                 return self._vanishes_on(bucket, words)
@@ -737,12 +753,14 @@ class _LocalApplier:
                 return False
 
     def _vanishes_on(self, bucket: BucketKey, words) -> bool:
-        # heads, denominators and scalars once per call, over one common
-        # denominator; the words whose arguments send them to one target
-        # charge and weight form a group, and each group sums to zero alone
-        heads, dens = self.heads, self.dens
+        # a word whose outer family is zero where it reads is left out once its
+        # inner kernels are formed, so a fault in them still fails; the rest
+        # get scalars over one common denominator, and the words sent to one
+        # target charge and weight form a group that sums to zero alone
+        heads, dens, zero = self.heads, self.dens, self.zero
         c, l = bucket
         weight = l - c * c
+        basis = _SLOTS[weight][0]
         fast, keys, scalars = [], [], []
         for w, kind, n4, inner in words:
             a, b, d = w.a, w.b, w.d
@@ -754,20 +772,26 @@ class _LocalApplier:
                 den = dens[inner[0], win]
                 digits = self._digits(inner[0], iarg)
             arg, base, c2 = heads[kind, n4, cin]
+            table = self._table(kind, arg)
+            empty = zero.get((kind, arg, win))
+            if empty is None:  # built kernel by kernel, so one off its weight raises here
+                empty = zero[kind, arg, win] = not any(map(table.__getitem__, _SLOTS[win][0]))
+            if empty:
+                for e in basis if digits is not None else ():
+                    digits[e]  # formed for its _OffWeight only
+                continue
             a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
-            fast.append((self._table(kind, arg), digits))
+            fast.append((table, digits))
             keys.append((c2, win + arg))
             scalars.append((a, b, d * den * dens[kind, win + arg]))
+        if not fast:
+            return True
         re, im, mags = _rows(scalars)
-        if len(set(keys)) == 1:
-            checks = [(re, im)]
-        else:
-            checks = [
-                tuple([x if k == key else 0 for k, x in zip(keys, part)] for part in (re, im))
-                for key in set(keys)
-            ]
-        norms = [1] * len(words)  # per word, the largest sum of |inner numerators|
-        for e in _SLOTS[weight][0]:
+        checks = [
+            tuple([x if k == key else 0 for k, x in zip(keys, part)] for part in (re, im)) for key in set(keys)
+        ]
+        norms = [1] * len(fast)  # per word kept, the largest sum of |inner numerators|
+        for e in basis:
             sums = []
             for k, (table, digits) in enumerate(fast):
                 if digits is None:

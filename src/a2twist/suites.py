@@ -170,7 +170,8 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
     vacuous = 0
     for bucket in all_buckets(cutoff):
         c, l = bucket
-        local.digits.clear()
+        for table in (local.digits, local.annihilations, local.zero):  # what only this bucket reads
+            table.clear()
 
         def pair_ok(lk, m4, rk, n4, coeff) -> bool:
             # [lk(m4), rk(n4)] - coeff * a12(m4 + n4) on each basis vector

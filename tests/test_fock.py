@@ -173,7 +173,7 @@ def records_sum(fock, terms, kernels):
             arg, s, c2 = heads[c]
             key = (kind, arg, modes)
             if key not in kernels:
-                kernels[key] = fock._kernel(*key)
+                kernels[key] = fock._kernel(*key, {})
             kden, targets, nums = kernels[key]
             # coeff * s over coeff.d * s.d * kden, unreduced
             d = coeff.d * s.d * kden
@@ -1079,6 +1079,84 @@ def test_vacuous_checks_are_the_ones_without_a_target_bucket(monkeypatch):
         assert rep.passed and rep.checked > len(calls) // 2
 
 
+# --- the zero table -------------------------------------------------------------
+
+
+def families(local, bucket, words):
+    """The (kind, argument, weight) of the outer kernels each word reads on
+    bucket: the keys of local.zero that _vanishes_on looks up."""
+    c, l = bucket
+    out = []
+    for _, kind, n4, inner in words:
+        cin, win = c, l - c * c
+        if inner is not None:
+            iarg, _, cin = local.heads[inner[0], inner[1], c]
+            win += iarg
+        out.append((kind, local.heads[kind, n4, cin][0], win))
+    return out
+
+
+def target_exists(fock, bucket, words):
+    _, kind, n4, inner = words[0]
+    return bucket_exists(*fock.target_bucket(kind, n4, bucket if inner is None else fock.target_bucket(*inner, bucket)))
+
+
+def test_vacuous_checks_are_answered_by_the_zero_table(monkeypatch):
+    # each check without a target bucket passes on a fresh applier, which
+    # then holds every word's outer family as zero where that word reads it
+    fock = TwistedFock()
+    for sweep in (lambda: check_linear_relations(fock, 10), lambda: check_brackets(fock, 10, max_mode4=8)):
+        rep, calls = recorded_words(monkeypatch, sweep)
+        vacuous = 0
+        for bucket, words in calls:
+            if target_exists(fock, bucket, words):
+                continue
+            vacuous += 1
+            local = _LocalApplier(fock)
+            assert local.bucket_vanishes(bucket, words), (bucket, words)
+            assert all(local.zero.get(key) is True for key in families(local, bucket, words)), (bucket, words)
+        assert rep.details["vacuous"] == vacuous > 0
+
+
+@pytest.mark.parametrize("sweep", ["relations", "brackets"])
+def test_perturbed_answered_words_flip_both_zero_tests_alike(monkeypatch, sweep):
+    # the word lists the zero table answers alone, vacuous or with a target
+    # bucket, with their first word's weight doubled, and then with the
+    # words of a check on the same bucket that the table does not answer
+    # added, whole or without their last word: the sum must read zero
+    # exactly when the added words alone do, for the packed test and the
+    # records alike, whatever the answered words leave out
+    fock = TwistedFock()
+    if sweep == "relations":
+        _, calls = recorded_words(monkeypatch, lambda: check_linear_relations(fock, 10))
+    else:
+        _, calls = recorded_words(monkeypatch, lambda: check_brackets(fock, 8, max_mode4=8))
+    local = _LocalApplier(fock)
+    answered, unanswered = [], {}
+    for bucket, words in calls:
+        local.digits.clear()
+        local.bucket_vanishes(bucket, words)
+        if all(local.zero[key] for key in families(local, bucket, words)):
+            answered.append((bucket, words))
+        else:
+            unanswered.setdefault(bucket, []).append(words)
+    seen = Counter()
+    for bucket, words in answered:
+        local.digits.clear()
+        w, kind, n4, inner = words[0]
+        doubled = [(w.scale_frac(2), kind, n4, inner)] + words[1:]
+        assert local.bucket_vanishes(bucket, doubled) and records_bucket_vanishes(local, bucket, doubled)
+        for other in unanswered.get(bucket, [])[:2]:
+            for extra in (other, other[:-1]):
+                got = local.bucket_vanishes(bucket, doubled + extra)
+                assert got == records_bucket_vanishes(local, bucket, doubled + extra), (bucket, words, extra)
+                assert got == local.bucket_vanishes(bucket, extra), (bucket, words, extra)
+                seen[target_exists(fock, bucket, words), got] += 1
+    assert seen[False, True] and seen[False, False]
+    if sweep == "relations":
+        assert seen[True, True] and seen[True, False]
+
+
 # --- fault injection: the reuse hides no mismatch -----------------------------
 
 
@@ -1111,8 +1189,8 @@ def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
         wants[kind, n4] = want
         return n4, base, c2
 
-    def kernel_of_the_last_charge(self, kind, n4, modes):
-        return kernel(self, kind, wants[kind, n4], modes)
+    def kernel_of_the_last_charge(self, kind, n4, modes, annihilations):
+        return kernel(self, kind, wants[kind, n4], modes, annihilations)
 
     monkeypatch.setattr(TwistedFock, "_head", keyed_on_n4)
     monkeypatch.setattr(TwistedFock, "_kernel", kernel_of_the_last_charge)
@@ -1124,8 +1202,8 @@ def shift_kernels(monkeypatch, kind):
     (two quarters) above what its argument says."""
     kernel = TwistedFock._kernel
 
-    def shifted_kernel(self, k, arg, modes):
-        return kernel(self, k, arg + 2 if k == kind else arg, modes)
+    def shifted_kernel(self, k, arg, modes, annihilations):
+        return kernel(self, k, arg + 2 if k == kind else arg, modes, annihilations)
 
     monkeypatch.setattr(TwistedFock, "_kernel", shifted_kernel)
 
@@ -1141,6 +1219,46 @@ def test_an_off_weight_kernel_fails_its_zero_test(monkeypatch):
     local = _LocalApplier(TwistedFock())
     assert not local.bucket_vanishes((0, 0), words)
     assert local.off_weight[0] == "a1"
+
+
+def test_an_off_weight_kernel_fails_a_vacuous_check(monkeypatch):
+    # the zero table learns that a family is empty by building its kernels,
+    # not from the target bucket, so a check without a target bucket still
+    # meets a kernel off its weight and fails
+    fock = TwistedFock()
+    _, calls = recorded_words(monkeypatch, lambda: check_linear_relations(fock, 8))
+    vacuous = [(bucket, words) for bucket, words in calls if not target_exists(fock, bucket, words)]
+    shift_kernels(monkeypatch, "a1")
+    failed = 0
+    for bucket, words in vacuous:
+        local = _LocalApplier(TwistedFock())
+        if not local.bucket_vanishes(bucket, words):
+            assert local.off_weight[0] == "a1", (bucket, words)
+            failed += 1
+    assert len(vacuous) > 300 and failed > 10
+
+
+def test_a_zero_family_is_zero_only_after_every_kernel_is_built(monkeypatch):
+    # a12 creates and annihilates only quanta of quarter mode 0 mod 4, so
+    # its kernels of argument 2 are empty on every multiset, and every check
+    # that reads them is answered by the zero table.  Give the last multiset
+    # of weight 4 in slot order one on-weight target: the two relation
+    # checks that read the family at weight 4 must fail, as wrong images and
+    # not as kernels off their weight
+    assert _MODES[fock_module._SLOTS[4][0][-1]] == (2, 2)
+    kernel = TwistedFock._kernel
+
+    def one_target(self, kind, arg, modes, annihilations):
+        if (kind, arg, modes) == ("a12", 2, (2, 2)):
+            return 1, (_pack((2, 2, 2)),), [1]
+        return kernel(self, kind, arg, modes, annihilations)
+
+    assert check_linear_relations(TwistedFock(), 8).passed
+    monkeypatch.setattr(TwistedFock, "_kernel", one_target)
+    rep = check_linear_relations(TwistedFock(), 8)
+    assert not rep.passed and "off_weight_kernel" not in rep.details
+    failed = [(f["relation"], f["bucket"], f["n4"]) for f in rep.failures]
+    assert failed == [("sum-vector-integer-only", (-1, 5), -2), ("sum-vector-integer-only", (-2, 8), 2)]
 
 
 @pytest.mark.parametrize(
