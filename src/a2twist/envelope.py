@@ -64,10 +64,11 @@ def monomial_negative(mono: PBWMonomial) -> bool:
 
 
 def _right_step(terms: Dict, a: int) -> Dict:
-    """terms times u(a), terms {(central modes, canonical word): coeff}.
-    u(a) enters each word from the right, passes the trailing letters v
-    that sort after it and stops in canonical position; passing v leaves
-    [u(v), u(a)] times the word without v, which is still canonical."""
+    """terms times u(a), terms {(central modes, canonical word): coeff}, the
+    one straightening step, which only _accumulate_raw calls.  u(a) enters
+    each word from the right, passes the trailing letters v that sort after
+    it and stops in canonical position; passing v leaves [u(v), u(a)] times
+    the word without v, which is still canonical."""
     key = _u_sort_key(a)
     out = {}
     for (zs, w), cf in terms.items():
@@ -95,7 +96,7 @@ class EnvElement(SparseVector):
     @classmethod
     def monomial(cls, zpart: Sequence[int], upart: Sequence[int], coeff=ONE) -> "EnvElement":
         out = cls()
-        out._accumulate_raw(tuple(sorted(zpart, reverse=True)), tuple(upart), coeff)
+        out._accumulate_raw(tuple(zpart), tuple(upart), coeff)
         return out
 
     def __repr__(self):
@@ -111,51 +112,37 @@ class EnvElement(SparseVector):
 
     # -- normal ordering ---------------------------------------------------
 
-    def _accumulate_raw(self, zpart: Tuple[int, ...], useq: Tuple[int, ...], coeff) -> None:
-        """Add coeff * z(zpart) * u(useq) after straightening the u word."""
-        stack = [(zpart, useq, coeff)]
-        while stack:
-            z, u, cf = stack.pop()
-            placed = False
-            for i in range(len(u) - 1):
-                if _u_sort_key(u[i]) > _u_sort_key(u[i + 1]):
-                    swapped = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
-                    stack.append((z, swapped, cf))
-                    br = bracket_uu_coeff(u[i], u[i + 1])
-                    if br is not None:
-                        stack.append((z + (u[i] + u[i + 1],), u[:i] + u[i + 2 :], cf * br))
-                    placed = True
-                    break
-            if not placed:
-                self.add_term((tuple(sorted(z, reverse=True)), u), cf)
+    def _accumulate_raw(self, zpart: Tuple[int, ...], useq: Tuple[int, ...], coeff, word=()) -> None:
+        """Add coeff * z(zpart) u(word) u(useq), word canonical: every PBW
+        product here.  The letters of useq move into word from the right, one
+        _right_step each; each term's central modes, zpart's and the
+        brackets', are sorted once, at the end, where cancelled terms drop."""
+        cur = {(zpart, word): coeff}  # (central modes, unsorted; word) -> coeff
+        for a in useq:
+            cur = _right_step(cur, a)
+        for (zs, w), cf in cur.items():
+            self.add_term((tuple(sorted(zs, reverse=True)), w), cf)
 
     def right_mul_u(self, n4: int) -> "EnvElement":
-        """self times u(n4/4), one right-insertion step."""
+        """self times u(n4/4): u(n4/4) moves into each term's word."""
         out = EnvElement()
-        for (zs, w), cf in _right_step(self.terms, n4).items():
-            out.add_term((tuple(sorted(zs, reverse=True)), w), cf)
+        for (z, u), cf in self.terms.items():
+            out._accumulate_raw(z, (n4,), cf, u)
         return out
 
     def _left_mul_word(self, z: Tuple[int, ...], u: Tuple[int, ...]) -> "EnvElement":
-        """z(z) u(u) times self, for a canonical u.  Each term of self starts
-        from the single word u, carrying the term's coefficient, and its
-        letters move into that word from the right, one _right_step each.
-        The central modes, z's, the term's and the brackets', are merged
-        into each word once, at the end, where cancelled terms drop."""
+        """z(z) u(u) times self, for a canonical u: each term's letters move
+        into the word u, carrying the term's coefficient."""
         out = EnvElement()
         for (hz, hw), hc in self.terms.items():
-            cur = {(hz, u): hc}  # (central modes, unsorted; word) -> coeff
-            for a in hw:
-                cur = _right_step(cur, a)
-            for (zs, w), cf in cur.items():
-                out.add_term((tuple(sorted(zs + z, reverse=True)), w), cf)
+            out._accumulate_raw(z + hz, hw, hc, u)
         return out
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
         out = EnvElement()
         for (z1, u1), c1 in self.terms.items():
             for (z2, u2), c2 in other.terms.items():
-                out._accumulate_raw(z1 + z2, u1 + u2, c1 * c2)
+                out._accumulate_raw(z1 + z2, u2, c1 * c2, u1)
         return out
 
     # -- gradings and projections -------------------------------------------
@@ -351,10 +338,10 @@ class IdealSlice:
     Each generator is dressed once, and each PBW monomial list read once;
     both are kept for the life of the slice, and the presentation suite
     reads its buckets' lists from monomials too.  Each product moves the
-    dressed generator's few letters into the PBW word from the right, and
-    nothing else is kept.  A bucket's spanning vectors lie among its PBW
-    monomials, so a slice whose rank reaches their number is full: the
-    presentation suite stops eliminating there.
+    dressed generator's few letters into the PBW word from the right
+    (EnvElement._accumulate_raw); nothing else is kept.  A bucket's spanning
+    vectors lie among its PBW monomials, so a slice whose rank reaches
+    their number is full: the presentation suite stops eliminating there.
     """
 
     def __init__(self, slack4: int = 0):

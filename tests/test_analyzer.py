@@ -191,6 +191,9 @@ def test_dropped_first_pass_bracket_fails_presentation(fock, monkeypatch):
 
     monkeypatch.setattr(envelope, "_right_step", mutant)
     assert not check_presentation(fock, PrincipalSubspace(fock, 12).table(), 12).passed
+    # shift, psi and the generators straighten through the same step
+    assert not check_morphisms(fock, 12).passed
+    assert not envelope.check_ideal_stability().passed
 
 
 def test_evaluation_ignoring_central_part_fails_presentation(fock, monkeypatch):

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from a2twist import envelope
 from a2twist.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -76,3 +77,32 @@ def test_kernel_microbenchmarks_find_their_entry_points(perfbench, capsys):
     assert set(figures) == {name for name in run.PER_LAYER if name.startswith("kernel.")}
     assert all(value > 0 for value in figures.values())
     assert "perfbench" not in capsys.readouterr().err
+
+
+def test_every_pbw_straightening_step_runs_under_the_timed_method(monkeypatch, capsys):
+    # the envelope.normal_order layer times EnvElement._accumulate_raw; a
+    # product that calls _right_step on its own escapes that layer
+    accumulate, right_step = envelope.EnvElement._accumulate_raw, envelope._right_step
+    depth = [0]
+    calls = {"inside": 0, "outside": 0}
+
+    def spy_accumulate(self, *args):
+        depth[0] += 1
+        try:
+            return accumulate(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def spy_right_step(terms, a):
+        calls["inside" if depth[0] else "outside"] += 1
+        return right_step(terms, a)
+
+    monkeypatch.setattr(envelope.EnvElement, "_accumulate_raw", spy_accumulate)
+    monkeypatch.setattr(envelope, "_right_step", spy_right_step)
+    argv = [
+        "verify", "--suites", "presentation,morphisms,stability",
+        "--cutoff", "8", "--presentation-cutoff", "8", "--format", "json",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls["inside"] > 0 and calls["outside"] == 0, calls

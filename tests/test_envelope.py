@@ -311,17 +311,46 @@ def _random_canonical(rng, n_terms=3):
     return out
 
 
+def _stack_straighten(z, u, coeff):
+    """coeff * z(z) u(u) in PBW normal order, {monomial: coeff}, by a bubble
+    sort on a stack: each out-of-order adjacent pair is swapped, and its
+    bracket pushed as a word of its own.  A reference that shares no
+    straightening code with the envelope's right insertion."""
+    out = EnvElement()
+    stack = [(tuple(z), tuple(u), coeff)]
+    while stack:
+        z, u, cf = stack.pop()
+        placed = False
+        for i in range(len(u) - 1):
+            if _u_sort_key(u[i]) > _u_sort_key(u[i + 1]):
+                swapped = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
+                stack.append((z, swapped, cf))
+                br = bracket_uu_coeff(u[i], u[i + 1])
+                if br is not None:
+                    stack.append((z + (u[i] + u[i + 1],), u[:i] + u[i + 2 :], cf * br))
+                placed = True
+                break
+        if not placed:
+            out.add_term((tuple(sorted(z, reverse=True)), u), cf)
+    return out.terms
+
+
+def _stack_sum(words):
+    """The sum of _stack_straighten over (z, u, coeff) triples."""
+    out = EnvElement()
+    for z, u, coeff in words:
+        for mono, cf in _stack_straighten(z, u, coeff).items():
+            out.add_term(mono, cf)
+    return out
+
+
 def _stack_left_mul(elt, gen):
     """Left multiplication by the letter gen = ("u" or "z", quarter mode)
-    through the generic straightening stack."""
+    through the stack reference."""
     label, n4 = gen
-    out = EnvElement()
-    for (z, u), coeff in elt.terms.items():
-        if label == "z":
-            out._accumulate_raw(z + (n4,), u, coeff)
-        else:
-            out._accumulate_raw(z, (n4,) + u, coeff)
-    return out
+    if label == "z":
+        return _stack_sum((z + (n4,), u, coeff) for (z, u), coeff in elt.terms.items())
+    return _stack_sum((z, (n4,) + u, coeff) for (z, u), coeff in elt.terms.items())
 
 
 def _left_mul(elt, gen):
@@ -364,6 +393,22 @@ def test_projection_commutes_with_left_multiplication():
     assert right_differs > 0
 
 
+def test_monomial_matches_stack_reference():
+    rng = random.Random(43)
+    odd = [-9, -7, -5, -3, -1, 1, 3, 5, 7]
+    for _ in range(200):
+        z = [rng.choice([-8, -4, 0, 4]) for _ in range(rng.randint(0, 3))]  # unsorted
+        word = [rng.choice(odd) for _ in range(rng.randint(0, 5))]
+        if word and rng.random() < 0.5:
+            word.insert(rng.randrange(len(word) + 1), word[rng.randrange(len(word))])  # repeated
+        if word and rng.random() < 0.5:
+            n = rng.choice(word)
+            partners = [a for a in odd if (a + n) % 4 == 0]  # bracket with n is central
+            word.insert(rng.randrange(len(word) + 1), rng.choice(partners))
+        coeff = gr(rng.randint(-3, 3) or 1, rng.randint(-2, 2))
+        assert EnvElement.monomial(z, word, coeff).terms == _stack_straighten(z, word, coeff), (z, word)
+
+
 def test_closed_form_left_mul_matches_stack_path():
     rng = random.Random(31)
     gens = [("u", n4) for n4 in range(-9, 10, 2)] + [("z", m4) for m4 in (-8, -4, 0, 4)]
@@ -378,7 +423,8 @@ def test_right_mul_matches_product_with_letter():
     for _ in range(200):
         x = _random_canonical(rng, rng.randint(1, 4))
         for n4 in rng.sample(range(-9, 10, 2), 4):
-            assert x.right_mul_u(n4) == x * EnvElement.monomial([], [n4]), (x, n4)
+            stack = _stack_sum((z, u + (n4,), coeff) for (z, u), coeff in x.terms.items())
+            assert x.right_mul_u(n4) == stack == x * EnvElement.monomial([], [n4]), (x, n4)
 
 
 def test_word_product_matches_letter_chain_and_stack_path():
@@ -404,7 +450,8 @@ def test_word_product_matches_letter_chain_and_stack_path():
         for m4 in reversed(z):
             chain = chain._left_mul_word((m4,), ())
         got = x._left_mul_word(z, u)
-        assert got == chain == EnvElement.monomial(z, u) * x, (z, u, x)
+        stack = _stack_sum((z + xz, u + xu, coeff) for (xz, xu), coeff in x.terms.items())
+        assert got == chain == stack == EnvElement.monomial(z, u) * x, (z, u, x)
 
 
 def test_table_evaluation_matches_operator_chain(fock):

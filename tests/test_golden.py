@@ -1,4 +1,4 @@
-"""Canonical JSON of three fixed command lines, byte for byte against fixtures
+"""Canonical JSON of four fixed command lines, byte for byte against fixtures
 committed under tests/golden/.  A change that alters any count, scalar or
 key order in this output shows up here."""
 
@@ -18,6 +18,13 @@ CASES = [
         [
             "verify", "--suites", "presentation,morphisms,stability",
             "--cutoff", "16", "--presentation-cutoff", "16", "--format", "json",
+        ],
+    ),
+    (
+        "verify_envelope_cutoff22.json",
+        [
+            "verify", "--suites", "presentation,morphisms,stability",
+            "--cutoff", "22", "--presentation-cutoff", "22", "--format", "json",
         ],
     ),
 ]
