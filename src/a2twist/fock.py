@@ -300,6 +300,14 @@ def _create(f0: int, f2: int, groups: list) -> Tuple[dict, int]:
 # integer scalars is the packed sum of their numerators: C big-int products
 # in place of one dict update per target.  Such a sum is zero exactly when
 # every digit is, which it decides as long as no digit can reach 2^(K-1).
+#
+# A kernel is itself such a sum.  Its annihilation terms (degree h4, factor,
+# leftover) each need the creating exponential that takes the leftover to
+# w, which depends on (kind, w, leftover) only, so a sweep packs that once
+# (_created) and a kernel is the sum of factor * created leftover over its
+# terms: one big-int multiply-add per term.  At cutoff 16 the relation and
+# bracket sweeps read 13 565 annihilation terms over 6 564 kernels, and
+# 1 108 created leftovers serve them all.
 
 _SLOT_BITS = 64  # digit width a sweep starts at; it doubles where a sum could carry
 
@@ -326,31 +334,65 @@ class _OffWeight(Exception):
     divide D: only a faulty engine makes one."""
 
 
-def _packed_kernel(
-    fock, dens: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int, annihilations: dict
-) -> int:
-    """fock._kernel(kind, arg, multiset, annihilations) as one int of
-    width-bit digits over D(kind, w), w the multiset's weight plus arg, read
-    from dens, the widest numerator's bit length kept in bits[0]; 0 for an
-    empty kernel.  Raises _OffWeight(kind, arg, modes), which
-    details.off_weight_kernel names, when a target does not weigh w or the
-    denominator does not divide D, and _Carry when a numerator could fill
-    its digit."""
-    modes = _MODES[multiset]
-    den, targets, nums = fock._kernel(kind, arg, modes, annihilations)
-    if not targets:
-        return 0
-    w = _WEIGHTS[multiset] + arg
+def _created(fock, dens: LazyTable, width: int, key: Tuple[str, int, int]) -> Tuple[int, int]:
+    """The creating exponential of kind that takes the packed leftover left
+    to weight w, key (kind, w, left), as (one int of width-bit digits, its
+    numerators over D(kind, w) at the slots of w of left plus each created
+    multiset; its largest |numerator|).  Raises a bare _OffWeight, which
+    the kernel reading it names, when a target does not weigh w or the
+    creation denominator does not divide D."""
+    kind, w, left = key
+    data = fock.vertex[kind]
+    _check_room(w)  # the mode sum of every target
+    gden, terms = _creation_terms(data.f0, data.f2, w - _WEIGHTS[left])
     d = dens[kind, w]
-    if d % den or any(_WEIGHTS[t] != w for t in targets):
-        raise _OffWeight(kind, arg, modes)
-    scale = d // den
-    b = (max(map(abs, nums)) * scale).bit_length()
+    slots = _SLOTS[w][1]
+    if d % gden:
+        raise _OffWeight
+    packed = top = 0
+    for made, num in terms:
+        slot = slots.get(left + made)
+        if slot is None:
+            raise _OffWeight
+        packed += num << width * slot
+        top = max(top, abs(num))
+    scale = d // gden
+    return packed * scale, top * scale
+
+
+def _packed_kernel(
+    fock, created: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int, annihilations: dict
+) -> int:
+    """fock._kernel(kind, arg, modes) of the multiset's modes as one int of
+    width-bit digits over D(kind, w), w the multiset's weight plus arg: the
+    sum of factor * created[kind, w, leftover] over the annihilation terms
+    whose degree arg leaves room for, the terms read from annihilations
+    under (kind, modes) and added there when missing.  bits[0] keeps the
+    widest bound met on a numerator, sum |factor| * largest created
+    numerator.  Raises _OffWeight(kind, arg, modes), which
+    details.off_weight_kernel names, when an entry it reads is off its
+    weight, and _Carry when a numerator could fill its digit."""
+    modes = _MODES[multiset]
+    terms = annihilations.get((kind, modes))
+    if terms is None:
+        data = fock.vertex[kind]
+        terms = annihilations[kind, modes] = _annihilation_terms(modes, -data.f0, -data.f2)
+    w = _WEIGHTS[multiset] + arg
+    packed = bound = 0
+    try:
+        for h4, afac, left in terms:
+            if arg + h4 >= 0:
+                entry, top = created[kind, w, left]
+                packed += afac * entry
+                bound += abs(afac) * top
+    except _OffWeight:
+        raise _OffWeight(kind, arg, modes) from None
+    b = bound.bit_length()
     if b >= width - 1:
         raise _Carry
-    bits[0] = max(bits[0], b)
-    slots = _SLOTS[w][1]
-    return sum(n << width * slots[t] for t, n in zip(targets, nums)) * scale
+    if b > bits[0]:
+        bits[0] = b
+    return packed
 
 
 def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
@@ -433,10 +475,10 @@ class TwistedFock:
     #
     # There are two ways to apply a vertex component.  Packed kernels
     # (_packed_kernel, which _LocalApplier.bucket_vanishes reads) serve the
-    # relation and bracket zero tests: a kernel is one int, built from the
-    # sweep's annihilation expansions and re-read about 20 times over those
-    # sweeps at cutoff 16, an inner image's numerators scale whole outer
-    # kernels in C, and no target is decoded.
+    # relation and bracket zero tests: a kernel is one int, summed from the
+    # sweep's annihilation expansions and created leftovers and re-read
+    # about 20 times over those sweeps at cutoff 16, an inner image's
+    # numerators scale whole outer kernels in C, and no target is decoded.
     # Annihilate, merge, create (_convolve) serves everything else: apply,
     # apply_batch, the quadratic sweep's first-level unit images and its
     # zero tests.  The leftovers of all the source monomials of a sum of one
@@ -444,9 +486,11 @@ class TwistedFock:
     # expansions are kept, in a table the caller may hold across calls (dims
     # keeps one per charge level: at cutoff 32 it builds 2 041 expansions
     # and reads each about 9 times; at cutoff 2 the quadratic sums add
-    # 188 705 leftover terms, and 90 merged leftovers survive to be
-    # created).  e1, dT, b0 and b2 are applied one monomial at a time
-    # (_apply).
+    # 117 697 leftover terms, and every merged leftover of a sum that
+    # vanishes cancels before creation).  e1, dT, b0 and b2 are applied one monomial at a time
+    # (_apply).  _kernel's vertex branch, one annihilation and one creation
+    # per call, is the reference the tests and perfbench read through
+    # _image_raw.
 
     def _head(self, kind: str, n4: int, c: int) -> Tuple[int, GaussianRational, int]:
         data = self.vertex.get(kind)
@@ -469,16 +513,13 @@ class TwistedFock:
             return 2 * c, i_power(c) if c >= 0 else ONE, c
         raise ValueError("unknown operator kind %r" % kind)
 
-    def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...], annihilations: dict) -> Tuple[int, tuple, list]:
+    def _kernel(self, kind: str, arg: int, modes: Tuple[int, ...]) -> Tuple[int, tuple, list]:
         """The kernel (den, packed targets, numerators) of kind at arg on
-        modes; a vertex kind reads the annihilation expansion of modes from
-        annihilations under (kind, modes), adding it there when missing."""
+        modes."""
         data = self.vertex.get(kind)
         if data is not None:
             _check_room(sum(modes) + arg)  # the mode sum of every target
-            terms = annihilations.get((kind, modes))
-            if terms is None:
-                terms = annihilations[kind, modes] = _annihilation_terms(modes, -data.f0, -data.f2)
+            terms = _annihilation_terms(modes, -data.f0, -data.f2)
             lefts = [(arg + h4, left, afac) for h4, afac, left in terms if arg + h4 >= 0]
             accs, den = _create(data.f0, data.f2, [(0, 0, lefts)])
             acc = accs[0][0]
@@ -509,7 +550,7 @@ class TwistedFock:
         it, and perfbench hooks it (fock.images)."""
         modes, c = mono
         arg, base, c2 = self._head(kind, n4, c)
-        den, targets, nums = self._kernel(kind, arg, modes, {})
+        den, targets, nums = self._kernel(kind, arg, modes)
         return base.scale_frac(Fraction(1, den)), tuple(zip(map(_MONOS[c2].__getitem__, targets), nums))
 
     def _vertex_raw(self, key: str, n4: int, mono: FockMonomial):
@@ -596,7 +637,7 @@ class TwistedFock:
             key = (kind, arg, modes)
             kernel = kernels.get(key)
             if kernel is None:
-                kernel = kernels[key] = self._kernel(*key, {})
+                kernel = kernels[key] = self._kernel(*key)
             den, targets, nums = kernel
             s = coeff * base
             a, b, d = s.a, s.b, s.d * den
@@ -673,13 +714,16 @@ class _LocalApplier:
 
     - bucket_vanishes, the relation and bracket zero test, reads packed
       kernels: kernels holds {multiset: packed kernel} per (kind,
-      argument), at one digit width, built from the expansions in
-      annihilations; zero whether a (kind, argument)'s kernels are all
-      empty on the multisets of a weight; and digits the inner operator's
-      kernels on the current bucket's basis, unpacked.  The bracket sweep
-      clears digits, annihilations and zero at each new bucket.  A kernel
-      off its weight fails the test it meets, and off_weight keeps the
-      first one's (kind, argument, modes) for details.off_weight_kernel.
+      argument), at one digit width, each summed from the expansion in
+      annihilations and the entries of created, the packed creating
+      exponential of each (kind, target weight, leftover) at that width;
+      zero whether a (kind, argument)'s kernels are all empty on the
+      multisets of a weight; and digits the inner operator's kernels on
+      the current bucket's basis, unpacked.  The bracket sweep clears
+      digits, annihilations and zero at each new bucket.  A kernel that
+      reads an entry off its weight fails the test it meets, and
+      off_weight keeps the first one's (kind, argument, modes) for
+      details.off_weight_kernel.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
       kind through the annihilation expansions in expansions.
     - apply goes through TwistedFock._apply_whole on the same
@@ -695,7 +739,7 @@ class _LocalApplier:
         # per sweep: heads by (kind, n4, source charge), D by (kind, target weight)
         self.heads = LazyTable(lambda key: fock._head(*key))
         self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
-        self.annihilations: Dict[tuple, list] = {}  # (kind, modes) -> _annihilation_terms, what _kernel reads
+        self.annihilations: Dict[tuple, list] = {}  # (kind, modes) -> _annihilation_terms, what _packed_kernel reads
         self.width = _SLOT_BITS
         self.off_weight = None  # the first _OffWeight key a zero test met
         self._drop_kernels()
@@ -704,9 +748,10 @@ class _LocalApplier:
         # the tables' makers hold no reference to self, so nothing here
         # waits for the cycle collector
         self.kernels: Dict[Tuple[str, int], LazyTable] = {}
+        self.created = LazyTable(functools.partial(_created, self.fock, self.dens, self.width))
         self.digits: Dict[Tuple[str, int], LazyTable] = {}
         self.zero: Dict[Tuple[str, int, int], bool] = {}  # (kind, argument, weight) -> all its kernels empty
-        self.bits = [0]  # the widest numerator met at this width
+        self.bits = [0]  # the widest numerator bound met at this width
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply_whole(kind, n4, vec, self.expansions)
@@ -715,7 +760,7 @@ class _LocalApplier:
         table = self.kernels.get((kind, arg))
         if table is None:
             make = functools.partial(
-                _packed_kernel, self.fock, self.dens, kind, arg, self.width, self.bits, annihilations=self.annihilations
+                _packed_kernel, self.fock, self.created, kind, arg, self.width, self.bits, annihilations=self.annihilations
             )
             table = self.kernels[kind, arg] = LazyTable(make)
         return table

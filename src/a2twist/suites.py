@@ -232,20 +232,23 @@ UU_FAMILIES = {
 def _quadratic_sums(t4: int, ucap: int, zcap: int):
     """The degree-t quadratic sums through their finite windows, as (family,
     outer kind, words), each word ((left index, right kind, right index),
-    weight) with the outer kind on the left; ucap and zcap are the largest
-    live quarter indices of the charge-1 and charge-2 components on the
-    source bucket."""
+    weight) with the outer kind on the left, each product once; ucap and
+    zcap are the largest live quarter indices of the charge-1 and charge-2
+    components on the source bucket."""
     if t4 % 2 == 0:
-        # paired simple-component sums, indices n1 + n2 + 1/2 = -t
+        # paired simple-component sums, indices n1 + n2 + 1/2 = -t; a product
+        # inside the window comes from two neighbouring pairs, and its weights
+        # add (to twice either, so none cancels)
         pairs = [
             (a4, -t4 - 2 - a4) for a4 in range(-t4 - 2 - ucap, ucap + 1) if a4 % 2 and -t4 - 2 - a4 <= ucap
         ]
         for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
-            words = []
+            words: Dict[Tuple[int, str, int], GaussianRational] = {}
             for a4, b4 in pairs:
                 w = i_power(-b4) if phased else ONE
-                words += [((a4 + 2, rk, b4), w), ((a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))]
-            yield fam, lk, words
+                for word, x in (((a4 + 2, rk, b4), w), ((a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))):
+                    words[word] = words[word] + x if word in words else x
+            yield fam, lk, [(word, w) for word, w in words.items() if not w.is_zero()]
     if t4 % 4 == 0:
         # central-central sums, m1 + m2 = -t
         ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]

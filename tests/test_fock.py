@@ -173,7 +173,7 @@ def records_sum(fock, terms, kernels):
             arg, s, c2 = heads[c]
             key = (kind, arg, modes)
             if key not in kernels:
-                kernels[key] = fock._kernel(*key, {})
+                kernels[key] = fock._kernel(*key)
             kden, targets, nums = kernels[key]
             # coeff * s over coeff.d * s.d * kden, unreduced
             d = coeff.d * s.d * kden
@@ -949,8 +949,8 @@ def test_charge_free_table_matches_reference_across_charges():
 def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
     # every combination the quadratic suite builds at cutoff 2, asked of the
     # records (vanishes) and the factorized test (sum_vanishes); then, where
-    # the last word's image is nonzero, with that word dropped and with its
-    # weight doubled, which leave its image over and so must read nonzero
+    # some word's image is nonzero, with the last such word dropped and with
+    # its weight doubled, which leave its image over and so must read nonzero
     local = _LocalApplier(fock)
 
     def both(kind, terms):
@@ -968,10 +968,13 @@ def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
                 for mono in enumerate_bucket(*bucket):
                     terms = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
                     assert both(kind, terms), (fam, t4, mono)
-                    if terms and not both(kind, terms[-1:]):
-                        w, a4, vec = terms[-1]
-                        assert not both(kind, terms[:-1]), (fam, t4, mono)
-                        assert not both(kind, terms[:-1] + [(w.scale_frac(2), a4, vec)]), (fam, t4, mono)
+                    live = [k for k, term in enumerate(terms) if not both(kind, [term])]
+                    if live:
+                        k = live[-1]
+                        w, a4, vec = terms[k]
+                        rest = terms[:k] + terms[k + 1 :]
+                        assert not both(kind, rest), (fam, t4, mono)
+                        assert not both(kind, rest + [(w.scale_frac(2), a4, vec)]), (fam, t4, mono)
                         perturbed += 1
     # of the 424 checks, 118 sum over an empty window and 60 over words
     # whose images are each zero
@@ -1059,6 +1062,40 @@ def test_an_eight_bit_start_grows_and_changes_no_report(monkeypatch):
     monkeypatch.setattr(_LocalApplier, "__init__", recording)
     assert sweeps(10) == want
     assert len(made) == 2 and all(local.width > 8 for local in made)
+
+
+@pytest.mark.parametrize("start", [64, 8])
+def test_packed_kernels_match_the_reference_kernels(monkeypatch, start):
+    # every packed kernel the relation and bracket sweeps build at cutoff 12,
+    # summed from created leftovers, against the reference kernel (_kernel)
+    # packed target by target: its numerators times D / den at the slots of
+    # their weight.  From an 8-bit start the sweeps double their width and
+    # rebuild their created leftovers, which the kernels built after that
+    # read.  bits[0] bounds the widest numerator of every kernel
+    built = []
+    packed_kernel = fock_module._packed_kernel
+
+    def recording(fock, created, kind, arg, width, bits, multiset, annihilations):
+        packed = packed_kernel(fock, created, kind, arg, width, bits, multiset, annihilations)
+        built.append((fock, kind, arg, width, multiset, packed, bits[0]))
+        return packed
+
+    monkeypatch.setattr(fock_module, "_SLOT_BITS", start)
+    monkeypatch.setattr(fock_module, "_packed_kernel", recording)
+    fock = TwistedFock()
+    assert check_linear_relations(fock, 12).passed and check_brackets(fock, 12).passed
+    nonzero = 0
+    for fock, kind, arg, width, multiset, packed, bound in built:
+        den, targets, nums = fock._kernel(kind, arg, _MODES[multiset])
+        w = fock_module._WEIGHTS[multiset] + arg
+        scale = fock_module._uniform_den(fock.vertex[kind], w) // den
+        slots = fock_module._SLOTS[w][1]
+        assert packed == sum(n << width * slots[t] for t, n in zip(targets, nums)) * scale, (kind, arg, multiset)
+        assert bound >= max((abs(n) * scale for n in nums), default=0).bit_length()
+        nonzero += bool(nums)
+    widths = Counter(width for _, _, _, width, _, _, _ in built)
+    assert len(built) > 2500 and nonzero > 800
+    assert set(widths) == ({64} if start == 64 else {8, 16, 32, 64}), widths
 
 
 def test_vacuous_checks_are_the_ones_without_a_target_bucket(monkeypatch):
@@ -1179,33 +1216,41 @@ def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
 
 
 def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
-    # kernels keyed on (kind, n4, modes): the kernel of the charge met first
-    # is reused at every other charge with the same mode and modes
-    head, kernel = TwistedFock._head, TwistedFock._kernel
-    wants = {}
+    # kernels keyed on (kind, n4, modes): the head hands the mode itself on
+    # as the kernel argument, so one packed kernel per mode and modes is
+    # read at every charge
+    head = TwistedFock._head
 
     def keyed_on_n4(self, kind, n4, c):
-        want, base, c2 = head(self, kind, n4, c)
-        wants[kind, n4] = want
+        _, base, c2 = head(self, kind, n4, c)
         return n4, base, c2
 
-    def kernel_of_the_last_charge(self, kind, n4, modes, annihilations):
-        return kernel(self, kind, wants[kind, n4], modes, annihilations)
-
     monkeypatch.setattr(TwistedFock, "_head", keyed_on_n4)
-    monkeypatch.setattr(TwistedFock, "_kernel", kernel_of_the_last_charge)
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
 
 
 def shift_kernels(monkeypatch, kind):
-    """Patch TwistedFock._kernel so that kind's images land one weight step
-    (two quarters) above what its argument says."""
-    kernel = TwistedFock._kernel
+    """Patch the two steps the packed kernels read so that kind's images
+    land one weight step (two quarters) above what its argument says: the
+    annihilation expansion reports each degree two quarters higher, so a
+    kernel keeps the terms its argument plus 2 leaves room for, and the
+    creation step the created leftovers read adds two quarters more than
+    their target weight asks.  Together kind's kernel at arg is its kernel
+    at arg + 2, read at the slots of arg's weight."""
+    annihilation, creation = fock_module._annihilation_terms, fock_module._creation_terms
+    data = TwistedFock().vertex[kind]
 
-    def shifted_kernel(self, k, arg, modes, annihilations):
-        return kernel(self, k, arg + 2 if k == kind else arg, modes, annihilations)
+    def shifted_annihilation(modes, f0, f2):
+        terms = annihilation(modes, f0, f2)
+        if (f0, f2) == (-data.f0, -data.f2):
+            terms = [(h4 + 2, fac, left) for h4, fac, left in terms]
+        return terms
 
-    monkeypatch.setattr(TwistedFock, "_kernel", shifted_kernel)
+    def shifted_creation(f0, f2, g4):
+        return creation(f0, f2, g4 + 2 if (f0, f2) == (data.f0, data.f2) else g4)
+
+    monkeypatch.setattr(fock_module, "_annihilation_terms", shifted_annihilation)
+    monkeypatch.setattr(fock_module, "_creation_terms", shifted_creation)
 
 
 def test_an_off_weight_kernel_fails_its_zero_test(monkeypatch):
@@ -1246,19 +1291,44 @@ def test_a_zero_family_is_zero_only_after_every_kernel_is_built(monkeypatch):
     # checks that read the family at weight 4 must fail, as wrong images and
     # not as kernels off their weight
     assert _MODES[fock_module._SLOTS[4][0][-1]] == (2, 2)
-    kernel = TwistedFock._kernel
+    packed_kernel = fock_module._packed_kernel
 
-    def one_target(self, kind, arg, modes, annihilations):
-        if (kind, arg, modes) == ("a12", 2, (2, 2)):
-            return 1, (_pack((2, 2, 2)),), [1]
-        return kernel(self, kind, arg, modes, annihilations)
+    def one_target(fock, created, kind, arg, width, bits, multiset, annihilations):
+        packed = packed_kernel(fock, created, kind, arg, width, bits, multiset, annihilations)
+        if (kind, arg, _MODES[multiset]) == ("a12", 2, (2, 2)):
+            # numerator 1 over denominator 1 at the slot of (2, 2, 2), over D
+            d = fock_module._uniform_den(fock.vertex[kind], 6)
+            packed += d << width * fock_module._SLOTS[6][1][_pack((2, 2, 2))]
+            bits[0] = max(bits[0], d.bit_length())
+        return packed
 
     assert check_linear_relations(TwistedFock(), 8).passed
-    monkeypatch.setattr(TwistedFock, "_kernel", one_target)
+    monkeypatch.setattr(fock_module, "_packed_kernel", one_target)
     rep = check_linear_relations(TwistedFock(), 8)
     assert not rep.passed and "off_weight_kernel" not in rep.details
     failed = [(f["relation"], f["bucket"], f["n4"]) for f in rep.failures]
     assert failed == [("sum-vector-integer-only", (-1, 5), -2), ("sum-vector-integer-only", (-2, 8), 2)]
+
+
+def test_a_wrong_created_numerator_fails_relations_and_brackets(monkeypatch):
+    # one created leftover with its numerator one too large: a1's creation
+    # of one quantum of quarter mode 2 on the empty leftover, which every a1
+    # kernel of target weight 2 reads after annihilating its whole source.
+    # It stays on its weight, so the checks that read it fail as wrong
+    # images and name no kernel off its weight
+    created = fock_module._created
+
+    def wrong(fock, dens, width, key):
+        packed, top = created(fock, dens, width, key)
+        if key == ("a1", 2, 0):
+            return packed + 1, top + 1
+        return packed, top
+
+    assert _MODES[fock_module._SLOTS[2][0][0]] == (2,)
+    monkeypatch.setattr(fock_module, "_created", wrong)
+    fock = TwistedFock()
+    for rep in (check_linear_relations(fock, 12), check_brackets(fock, 12, max_mode4=8)):
+        assert not rep.passed and rep.failures and "off_weight_kernel" not in rep.details
 
 
 @pytest.mark.parametrize(

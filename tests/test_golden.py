@@ -1,4 +1,4 @@
-"""Canonical JSON of four fixed command lines, byte for byte against fixtures
+"""Canonical JSON of five fixed command lines, byte for byte against fixtures
 committed under tests/golden/.  A change that alters any count, scalar or
 key order in this output shows up here."""
 
@@ -11,6 +11,7 @@ from a2twist.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CASES = [
+    ("verify_default.json", ["verify", "--format", "json"]),
     ("verify_cutoff12.json", ["verify", "--cutoff", "12", "--format", "json"]),
     ("dims_cutoff24.json", ["dims", "--cutoff", "24", "--format", "json"]),
     (
