@@ -305,9 +305,10 @@ def _create(f0: int, f2: int, groups: list) -> Tuple[dict, int]:
 # leftover) each need the creating exponential that takes the leftover to
 # w, which depends on (kind, w, leftover) only, so a sweep packs that once
 # (_created) and a kernel is the sum of factor * created leftover over its
-# terms: one big-int multiply-add per term.  At cutoff 16 the relation and
-# bracket sweeps read 13 565 annihilation terms over 6 564 kernels, and
-# 1 108 created leftovers serve them all.
+# terms (read from the sweep's _expansion table): one big-int multiply-add
+# per term.  At cutoff 16 the relation and bracket sweeps read 13 565 terms
+# over 6 564 kernels from 201 expansions each, and 1 108 created leftovers
+# serve them all.
 
 _SLOT_BITS = 64  # digit width a sweep starts at; it doubles where a sum could carry
 
@@ -361,30 +362,31 @@ def _created(fock, dens: LazyTable, width: int, key: Tuple[str, int, int]) -> Tu
 
 
 def _packed_kernel(
-    fock, created: LazyTable, kind: str, arg: int, width: int, bits: list, multiset: int, annihilations: dict
+    fock, created: LazyTable, kind: str, arg: int, width: int, bits: list, expansions: dict, multiset: int
 ) -> int:
     """fock._kernel(kind, arg, modes) of the multiset's modes as one int of
     width-bit digits over D(kind, w), w the multiset's weight plus arg: the
     sum of factor * created[kind, w, leftover] over the annihilation terms
-    whose degree arg leaves room for, the terms read from annihilations
-    under (kind, modes) and added there when missing.  bits[0] keeps the
-    widest bound met on a numerator, sum |factor| * largest created
-    numerator.  Raises _OffWeight(kind, arg, modes), which
+    whose degree arg leaves room for, taken from the _expansion in
+    expansions under (kind, modes), added there when missing.  bits[0]
+    keeps the widest bound met on a numerator, sum |factor| * largest
+    created numerator.  Raises _OffWeight(kind, arg, modes), which
     details.off_weight_kernel names, when an entry it reads is off its
     weight, and _Carry when a numerator could fill its digit."""
     modes = _MODES[multiset]
-    terms = annihilations.get((kind, modes))
-    if terms is None:
+    expansion = expansions.get((kind, modes))
+    if expansion is None:
         data = fock.vertex[kind]
-        terms = annihilations[kind, modes] = _annihilation_terms(modes, -data.f0, -data.f2)
+        expansion = expansions[kind, modes] = _expansion(modes, -data.f0, -data.f2)
+    h4s, lefts, facs = expansion
+    k = bisect_left(h4s, -arg)  # lower degrees leave the creating exponential nothing to add
     w = _WEIGHTS[multiset] + arg
     packed = bound = 0
     try:
-        for h4, afac, left in terms:
-            if arg + h4 >= 0:
-                entry, top = created[kind, w, left]
-                packed += afac * entry
-                bound += abs(afac) * top
+        for left, afac in zip(lefts[k:], facs[k:]):
+            entry, top = created[kind, w, left]
+            packed += afac * entry
+            bound += abs(afac) * top
     except _OffWeight:
         raise _OffWeight(kind, arg, modes) from None
     b = bound.bit_length()
@@ -395,10 +397,11 @@ def _packed_kernel(
     return packed
 
 
-def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
+def _unpacked(table: LazyTable, kind: str, arg: int, width: int, multiset: int) -> tuple:
     """(targets, numerators, sum of |numerators|) of the nonzero digits of
     the packed kernel table[multiset], read at the slots of its target
-    weight; an _OffWeight from table passes through."""
+    weight; an _OffWeight from table passes through, and a digit past those
+    slots raises _OffWeight(kind, arg, modes)."""
     packed = table[multiset]
     order = _SLOTS[_WEIGHTS[multiset] + arg][0]
     half, mask = 1 << (width - 1), (1 << width) - 1
@@ -409,6 +412,8 @@ def _unpacked(table: LazyTable, arg: int, width: int, multiset: int) -> tuple:
         if n >= half:
             n -= mask + 1
         if n:
+            if slot >= len(order):
+                raise _OffWeight(kind, arg, _MODES[multiset])
             targets.append(order[slot])
             nums.append(n)
         packed = (packed - n) >> width
@@ -714,18 +719,18 @@ class _LocalApplier:
 
     - bucket_vanishes, the relation and bracket zero test, reads packed
       kernels: kernels holds {multiset: packed kernel} per (kind,
-      argument), at one digit width, each summed from the expansion in
-      annihilations and the entries of created, the packed creating
-      exponential of each (kind, target weight, leftover) at that width;
-      zero whether a (kind, argument)'s kernels are all empty on the
-      multisets of a weight; and digits the inner operator's kernels on
-      the current bucket's basis, unpacked.  The bracket sweep clears
-      digits, annihilations and zero at each new bucket.  A kernel that
-      reads an entry off its weight fails the test it meets, and
-      off_weight keeps the first one's (kind, argument, modes) for
+      argument), at one digit width, each summed from the annihilation
+      expansion in expansions and the entries of created, the packed
+      creating exponential of each (kind, target weight, leftover) at that
+      width; zero whether a (kind, argument)'s kernels are all empty on
+      the multisets of a weight; and digits the inner operator's kernels on
+      the current bucket's basis, unpacked, dropped when the bucket
+      changes.  A kernel that reads an entry off its weight, or has a digit
+      past the slots of its weight, fails the test it meets, and off_weight
+      keeps the first one's (kind, argument, modes) for
       details.off_weight_kernel.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
-      kind through the annihilation expansions in expansions.
+      kind through the same expansions.
     - apply goes through TwistedFock._apply_whole on the same
       expansions, and unit_image keeps the images k(n)*m of the current
       bucket's basis monomials in units, which the quadratic sweep reads
@@ -734,43 +739,34 @@ class _LocalApplier:
 
     def __init__(self, fock: TwistedFock):
         self.fock = fock
-        self.expansions: Dict[tuple, tuple] = {}
+        self.expansions: Dict[tuple, tuple] = {}  # (kind, modes) -> _expansion, for every zero test
         self.units: Dict[tuple, FockVector] = {}  # (kind, n4, mono) -> image of the unit vector
         # per sweep: heads by (kind, n4, source charge), D by (kind, target weight)
         self.heads = LazyTable(lambda key: fock._head(*key))
         self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
-        self.annihilations: Dict[tuple, list] = {}  # (kind, modes) -> _annihilation_terms, what _packed_kernel reads
         self.width = _SLOT_BITS
         self.off_weight = None  # the first _OffWeight key a zero test met
+        self.bucket = None  # the bucket digits holds
         self._drop_kernels()
 
     def _drop_kernels(self) -> None:
         # the tables' makers hold no reference to self, so nothing here
         # waits for the cycle collector
-        self.kernels: Dict[Tuple[str, int], LazyTable] = {}
-        self.created = LazyTable(functools.partial(_created, self.fock, self.dens, self.width))
-        self.digits: Dict[Tuple[str, int], LazyTable] = {}
-        self.zero: Dict[Tuple[str, int, int], bool] = {}  # (kind, argument, weight) -> all its kernels empty
-        self.bits = [0]  # the widest numerator bound met at this width
+        fock, width, expansions = self.fock, self.width, self.expansions
+        created = self.created = LazyTable(functools.partial(_created, fock, self.dens, width))
+        bits = self.bits = [0]  # the widest numerator bound met at this width
+        # (kind, argument) -> {multiset: packed kernel}
+        kernels = self.kernels = LazyTable(
+            lambda key: LazyTable(functools.partial(_packed_kernel, fock, created, *key, width, bits, expansions))
+        )
+        # (kind, argument) -> {multiset of the bucket's basis: unpacked kernel}
+        self.digits = LazyTable(lambda key: LazyTable(functools.partial(_unpacked, kernels[key], *key, width)))
+        # (kind, argument, weight) -> all its kernels empty, built kernel by
+        # kernel, so one off its weight raises here
+        self.zero = LazyTable(lambda key: not any(map(kernels[key[:2]].__getitem__, _SLOTS[key[2]][0])))
 
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply_whole(kind, n4, vec, self.expansions)
-
-    def _table(self, kind: str, arg: int) -> LazyTable:
-        table = self.kernels.get((kind, arg))
-        if table is None:
-            make = functools.partial(
-                _packed_kernel, self.fock, self.created, kind, arg, self.width, self.bits, annihilations=self.annihilations
-            )
-            table = self.kernels[kind, arg] = LazyTable(make)
-        return table
-
-    def _digits(self, kind: str, arg: int) -> LazyTable:
-        table = self.digits.get((kind, arg))
-        if table is None:
-            make = functools.partial(_unpacked, self._table(kind, arg), arg, self.width)
-            table = self.digits[kind, arg] = LazyTable(make)
-        return table
 
     def _check_width(self, bound: int) -> None:
         """A zero sum counts only while its digits, at most bound times the
@@ -786,6 +782,9 @@ class _LocalApplier:
         carry, the kernels and the zero table are dropped and the test is
         redone at twice the width.  A kernel off its weight fails the test,
         and the first one met is kept in off_weight."""
+        if bucket != self.bucket:
+            self.bucket = bucket
+            self.digits.clear()
         while True:
             try:
                 return self._vanishes_on(bucket, words)
@@ -802,7 +801,7 @@ class _LocalApplier:
         # inner kernels are formed, so a fault in them still fails; the rest
         # get scalars over one common denominator, and the words sent to one
         # target charge and weight form a group that sums to zero alone
-        heads, dens, zero = self.heads, self.dens, self.zero
+        heads, dens, kernels, zero = self.heads, self.dens, self.kernels, self.zero
         c, l = bucket
         weight = l - c * c
         basis = _SLOTS[weight][0]
@@ -815,18 +814,14 @@ class _LocalApplier:
                 win += iarg
                 a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
                 den = dens[inner[0], win]
-                digits = self._digits(inner[0], iarg)
+                digits = self.digits[inner[0], iarg]
             arg, base, c2 = heads[kind, n4, cin]
-            table = self._table(kind, arg)
-            empty = zero.get((kind, arg, win))
-            if empty is None:  # built kernel by kernel, so one off its weight raises here
-                empty = zero[kind, arg, win] = not any(map(table.__getitem__, _SLOTS[win][0]))
-            if empty:
+            if zero[kind, arg, win]:
                 for e in basis if digits is not None else ():
                     digits[e]  # formed for its _OffWeight only
                 continue
             a, b, d = a * base.a - b * base.b, a * base.b + b * base.a, d * base.d
-            fast.append((table, digits))
+            fast.append((kernels[kind, arg], digits))
             keys.append((c2, win + arg))
             scalars.append((a, b, d * den * dens[kind, win + arg]))
         if not fast:

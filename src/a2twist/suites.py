@@ -61,7 +61,26 @@ class Report:
         return out
 
 
-# --- mode relation checks -------------------------------------------------------
+# --- the packed sweeps ----------------------------------------------------------
+
+
+def _packed_sweep(rep: Report, fock: TwistedFock, cutoff: int, checks) -> Report:
+    """Record in rep the packed zero test (_LocalApplier.bucket_vanishes) of
+    each (words, target bucket, failure) that checks(bucket) yields, on
+    every bucket to cutoff, through one applier freed when the sweep
+    returns.  details.vacuous counts the checks whose target bucket does not
+    exist; details.off_weight_kernel names the first kernel off its weight
+    met (_packed_kernel, _unpacked), whose check fails."""
+    local = _LocalApplier(fock)
+    vacuous = 0
+    for bucket in all_buckets(cutoff):
+        for words, target, failure in checks(bucket):
+            vacuous += not bucket_exists(*target)
+            rep.record(local.bucket_vanishes(bucket, words), failure)
+    rep.details["vacuous"] = vacuous
+    if local.off_weight:
+        rep.details["off_weight_kernel"] = local.off_weight
+    return rep
 
 
 def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
@@ -69,43 +88,28 @@ def check_linear_relations(fock: TwistedFock, cutoff: int) -> Report:
     both simple-vector components vanish at half-integer modes, coincide up
     to the mode-class sign at quarter modes, and the highest-vector
     component vanishes off integer modes.  Each relation is checked on the
-    bucket's basis vectors by packed zero tests, through one kernel table
-    for the sweep, freed when the suite returns.  details.vacuous counts
-    the checks whose target bucket does not exist; details.off_weight_kernel
-    names the first kernel off its weight met (_packed_kernel), whose check
-    fails."""
-    rep = Report("linear-relations")
-    local = _LocalApplier(fock)
-    vacuous = 0
-    for bucket in all_buckets(cutoff):
+    bucket's basis vectors by a packed zero test (_packed_sweep)."""
+    relations = []  # (words, charge step, n4, failure), n4 ascending
+    for n4 in range(-cutoff, cutoff + 5):
+        if n4 % 2 == 0:
+            for key in ("a1", "a2"):
+                failure = {"relation": "half-integer-vanishing", "n4": n4, "op": key}
+                relations.append(([(ONE, key, n4, None)], 1, n4, failure))
+            if n4 % 4 == 2:
+                failure = {"relation": "sum-vector-integer-only", "n4": n4}
+                relations.append(([(ONE, "a12", n4, None)], 2, n4, failure))
+        else:
+            sign = component_sign(n4)
+            words = [(ONE, "a2", n4, None), (GaussianRational(-sign), "a1", n4, None)]
+            relations.append((words, 1, n4, {"relation": "component-coincidence", "n4": n4, "sign": sign}))
+
+    def checks(bucket):
         c, l = bucket
-        for n4 in range(l - cutoff, l + 5):
-            live = bucket_exists(c + 1, l - n4)
-            if n4 % 2 == 0:
-                for key in ("a1", "a2"):
-                    vacuous += not live
-                    rep.record(
-                        local.bucket_vanishes(bucket, [(ONE, key, n4, None)]),
-                        {"relation": "half-integer-vanishing", "bucket": bucket, "n4": n4, "op": key},
-                    )
-                if n4 % 4 == 2:
-                    vacuous += not bucket_exists(c + 2, l - n4)
-                    rep.record(
-                        local.bucket_vanishes(bucket, [(ONE, "a12", n4, None)]),
-                        {"relation": "sum-vector-integer-only", "bucket": bucket, "n4": n4},
-                    )
-            else:
-                sign = component_sign(n4)
-                vacuous += not live
-                words = [(ONE, "a2", n4, None), (GaussianRational(-sign), "a1", n4, None)]
-                ok = local.bucket_vanishes(bucket, words)
-                rep.record(
-                    ok, {"relation": "component-coincidence", "bucket": bucket, "n4": n4, "sign": sign}
-                )
-    rep.details["vacuous"] = vacuous
-    if local.off_weight:
-        rep.details["off_weight_kernel"] = local.off_weight
-    return rep
+        for words, step, n4, failure in relations:
+            if l - cutoff <= n4 <= l + 4:
+                yield words, (c + step, l - n4), dict(failure, bucket=bucket)
+
+    return _packed_sweep(Report("linear-relations"), fock, cutoff, checks)
 
 
 def self_bracket_coeff(m4: int) -> GaussianRational:
@@ -138,9 +142,7 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
     mode-wise coincidence of the two simple components, each by one
     packed zero test per bucket.  The three remaining families follow from
     those by exact sign arithmetic, which is asserted over the whole mode
-    range.  details.vacuous counts the per-bucket checks whose target bucket
-    does not exist; details.off_weight_kernel names the first kernel off
-    its weight met (_packed_kernel), whose check fails.
+    range, ahead of the per-bucket checks (_packed_sweep).
     """
     rep = Report("bracket-table")
     odd = [n for n in range(-max_mode4, max_mode4 + 1) if n % 2]
@@ -165,53 +167,36 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
                 == bracket_coeff("a2", "a2", m4),
                 {"closure": ("a2", "a2", m4, n4)},
             )
-    local = _LocalApplier(fock)
-    minus_one = GaussianRational(-1)
-    vacuous = 0
-    for bucket in all_buckets(cutoff):
-        c, l = bucket
-        for table in (local.digits, local.annihilations, local.zero):  # what only this bucket reads
-            table.clear()
 
-        def pair_ok(lk, m4, rk, n4, coeff) -> bool:
-            # [lk(m4), rk(n4)] - coeff * a12(m4 + n4) on each basis vector
-            words = [(ONE, lk, m4, (rk, n4)), (minus_one, rk, n4, (lk, m4))]
-            if coeff:
-                words.append((-coeff, "a12", m4 + n4, None))
-            return local.bucket_vanishes(bucket, words)
+    def commutator(lk, m4, rk, n4, coeff):
+        # [lk(m4), rk(n4)] - coeff * a12(m4 + n4)
+        words = [(ONE, lk, m4, (rk, n4)), (GaussianRational(-1), rk, n4, (lk, m4))]
+        return words + [(-coeff, "a12", m4 + n4, None)] if coeff else words
 
+    # (words, charge step, lowest mode, mode sum, bracket), in the order each
+    # bucket checks them
+    brackets = []
+    for n4 in odd:
+        words = [(ONE, "a2", n4, None), (GaussianRational(-component_sign(n4)), "a1", n4, None)]
+        brackets.append((words, 1, n4, n4, ("component-coincidence", n4)))
+    for m4 in odd:
         for n4 in odd:
-            if l - n4 > cutoff:
-                continue
-            minus_sign = GaussianRational(-component_sign(n4))
-            vacuous += not bucket_exists(c + 1, l - n4)
-            ok = local.bucket_vanishes(bucket, [(ONE, "a2", n4, None), (minus_sign, "a1", n4, None)])
-            rep.record(ok, {"bracket": ("component-coincidence", n4), "bucket": bucket})
-        for m4 in odd:
-            if l - m4 > cutoff:
-                continue
-            for n4 in odd:
-                if n4 > m4:
-                    continue  # antisymmetry makes the swapped pair the same check
-                if l - n4 > cutoff or l - m4 - n4 > cutoff:
-                    continue
-                vacuous += not bucket_exists(c + 2, l - m4 - n4)
-                ok = pair_ok("a1", m4, "a1", n4, bracket_coeff("a1", "a1", m4))
-                rep.record(ok, {"bracket": ("a1", m4, "a1", n4), "bucket": bucket})
-        for m4 in z_modes:
-            if l - m4 > cutoff:
-                continue
-            for key, n4s in (("a1", odd), ("a12", z_modes)):
-                for n4 in n4s:
-                    if l - n4 > cutoff or l - m4 - n4 > cutoff:
-                        continue
-                    vacuous += not bucket_exists(c + 2 + fock.op_charge(key), l - m4 - n4)
-                    ok = pair_ok("a12", m4, key, n4, ZERO)
-                    rep.record(ok, {"bracket": ("a12", m4, key, n4), "bucket": bucket})
-    rep.details["vacuous"] = vacuous
-    if local.off_weight:
-        rep.details["off_weight_kernel"] = local.off_weight
-    return rep
+            if n4 <= m4:  # antisymmetry makes the swapped pair the same check
+                words = commutator("a1", m4, "a1", n4, bracket_coeff("a1", "a1", m4))
+                brackets.append((words, 2, n4, m4 + n4, ("a1", m4, "a1", n4)))
+    for m4 in z_modes:
+        for key, step, n4s in (("a1", 3, odd), ("a12", 4, z_modes)):
+            for n4 in n4s:
+                words = commutator("a12", m4, key, n4, ZERO)
+                brackets.append((words, step, min(m4, n4), m4 + n4, ("a12", m4, key, n4)))
+
+    def checks(bucket):
+        c, l = bucket
+        for words, step, low, total, bracket in brackets:
+            if l - low <= cutoff and l - total <= cutoff:
+                yield words, (c + step, l - total), {"bracket": bracket, "bucket": bucket}
+
+    return _packed_sweep(rep, fock, cutoff, checks)
 
 
 # --- quadratic relation sums ------------------------------------------------

@@ -1075,8 +1075,8 @@ def test_packed_kernels_match_the_reference_kernels(monkeypatch, start):
     built = []
     packed_kernel = fock_module._packed_kernel
 
-    def recording(fock, created, kind, arg, width, bits, multiset, annihilations):
-        packed = packed_kernel(fock, created, kind, arg, width, bits, multiset, annihilations)
+    def recording(fock, created, kind, arg, width, bits, expansions, multiset):
+        packed = packed_kernel(fock, created, kind, arg, width, bits, expansions, multiset)
         built.append((fock, kind, arg, width, multiset, packed, bits[0]))
         return packed
 
@@ -1114,6 +1114,36 @@ def test_vacuous_checks_are_the_ones_without_a_target_bucket(monkeypatch):
                 assert all(local.bucket_vanishes(bucket, [word]) for word in words), (bucket, words)
         assert rep.details["vacuous"] == vacuous > 0
         assert rep.passed and rep.checked > len(calls) // 2
+
+
+@pytest.mark.parametrize("start", [64, 8])
+def test_each_expansion_is_built_once_per_sweep(monkeypatch, start):
+    # the relation and bracket sweeps at cutoff 16 build one annihilation
+    # expansion per (kind, modes) they read, kept across buckets and, from
+    # an 8-bit start, across every doubling of the digit width
+    calls = []
+    made = []
+    expansion, init = fock_module._expansion, _LocalApplier.__init__
+
+    def counting(modes, f0, f2):
+        calls.append((modes, f0, f2))
+        return expansion(modes, f0, f2)
+
+    def recording(self, fock):
+        init(self, fock)
+        made.append(self)
+
+    monkeypatch.setattr(fock_module, "_SLOT_BITS", start)
+    monkeypatch.setattr(fock_module, "_expansion", counting)
+    monkeypatch.setattr(_LocalApplier, "__init__", recording)
+    fock = TwistedFock()
+    for sweep in (lambda: check_linear_relations(fock, 16), lambda: check_brackets(fock, 16)):
+        calls.clear()
+        assert sweep().passed
+        local = made[-1]
+        assert len(calls) == len(local.expansions) == 201
+        if start == 8:
+            assert local.width > 8  # the width doubled at least once
 
 
 # --- the zero table -------------------------------------------------------------
@@ -1218,15 +1248,38 @@ def test_doubled_central_weights_fail_brackets_and_quadratic(monkeypatch):
 def test_records_keyed_without_the_charge_fail_brackets(monkeypatch):
     # kernels keyed on (kind, n4, modes): the head hands the mode itself on
     # as the kernel argument, so one packed kernel per mode and modes is
-    # read at every charge
-    head = TwistedFock._head
+    # read at every charge; then each such kernel built at the argument of
+    # the charge met last, as a cache blind to the charge would hold it
+    head, packed_kernel = TwistedFock._head, fock_module._packed_kernel
+    wants = {}
 
     def keyed_on_n4(self, kind, n4, c):
-        _, base, c2 = head(self, kind, n4, c)
+        want, base, c2 = head(self, kind, n4, c)
+        wants[kind, n4] = want
         return n4, base, c2
+
+    def kernel_of_the_last_charge(fock, created, kind, n4, width, bits, expansions, multiset):
+        return packed_kernel(fock, created, kind, wants[kind, n4], width, bits, expansions, multiset)
 
     monkeypatch.setattr(TwistedFock, "_head", keyed_on_n4)
     assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
+    monkeypatch.setattr(fock_module, "_packed_kernel", kernel_of_the_last_charge)
+    assert not check_brackets(TwistedFock(), 12, max_mode4=8).passed
+
+
+def test_a_kernel_with_digits_past_its_slots_fails_brackets(monkeypatch):
+    # every packed kernel built four quarters above its argument and read at
+    # the slots of its argument's weight: a digit past those slots fails the
+    # check that unpacks it and names the kernel, and does not escape the
+    # sweep as an IndexError
+    packed_kernel = fock_module._packed_kernel
+
+    def four_up(fock, created, kind, arg, width, bits, expansions, multiset):
+        return packed_kernel(fock, created, kind, arg + 4, width, bits, expansions, multiset)
+
+    monkeypatch.setattr(fock_module, "_packed_kernel", four_up)
+    rep = check_brackets(TwistedFock(), 12, max_mode4=8)
+    assert not rep.passed and rep.details["off_weight_kernel"] == ("a1", 6, ())
 
 
 def shift_kernels(monkeypatch, kind):
@@ -1293,8 +1346,8 @@ def test_a_zero_family_is_zero_only_after_every_kernel_is_built(monkeypatch):
     assert _MODES[fock_module._SLOTS[4][0][-1]] == (2, 2)
     packed_kernel = fock_module._packed_kernel
 
-    def one_target(fock, created, kind, arg, width, bits, multiset, annihilations):
-        packed = packed_kernel(fock, created, kind, arg, width, bits, multiset, annihilations)
+    def one_target(fock, created, kind, arg, width, bits, expansions, multiset):
+        packed = packed_kernel(fock, created, kind, arg, width, bits, expansions, multiset)
         if (kind, arg, _MODES[multiset]) == ("a12", 2, (2, 2)):
             # numerator 1 over denominator 1 at the slot of (2, 2, 2), over D
             d = fock_module._uniform_den(fock.vertex[kind], 6)
