@@ -13,8 +13,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .envelope import EnvElement, IdealSlice, PBWMonomial, pbw_monomials, vacuum_image
 from .fock import BucketKey, FockVector, TwistedFock, bucket_exists, sigma_factor
 from .lattice import ALPHA1
+from .report import Report
 from .scalar import EchelonBasis, GaussianRational, ONE, i_power
-from .suites import Report
 
 
 def distinct_odd_partitions(n: int, m: int, cap: Optional[int] = None):

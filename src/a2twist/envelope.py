@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import FockVector, TwistedFock
+from .report import Report
 from .scalar import LazyTable, ONE, SparseVector, i_power
-from .suites import Report
+from .suites import GENERATORS, R1, R12, R121, _quadratic_sums
 
 # A PBW monomial is (z modes, u modes), each a tuple of quarter-unit integers.
 PBWMonomial = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -222,14 +223,6 @@ def vacuum_image(
 
 # --- truncated quadratic generators ------------------------------------------
 
-R1 = "uu"
-R12 = "zz"
-R121 = "zu"
-
-
-# kind -> (least quarter-degree, step, number of simple factors)
-GENERATORS = {R1: (2, 2, 2), R12: (8, 4, 0), R121: (5, 2, 1)}
-
 
 def admissible_t4(kind: str, t4: int) -> bool:
     if kind not in GENERATORS:
@@ -239,29 +232,18 @@ def admissible_t4(kind: str, t4: int) -> bool:
 
 
 def make_R0(kind: str, t4: int) -> EnvElement:
-    """Truncated degree-t relation sums, all explicit indices negative."""
+    """The truncated degree-t relation generator of kind: the first family
+    of kind that suites._quadratic_sums yields, the one in a1 and a12 alone,
+    on the window of negative index pairs (n1, n2), with a12 read as z and
+    a1 as u.  A pair's half-step shift can leave a nonnegative factor:
+    make_R0(R1, 2) is 2u(-3/4)u(1/4) + 2u(-1/4)u(-1/4)."""
     if not admissible_t4(kind, t4):
         raise ValueError("inadmissible truncation degree %s for %s" % (Fraction(t4, 4), kind))
+    words = next(words for _, k, words in _quadratic_sums(t4, -1, -4) if k == kind)
     out = EnvElement()
-    if kind == R1:
-        for a4 in range(-1, -t4 - 2, -2):
-            b4 = -t4 - 2 - a4
-            if b4 > -1:
-                continue
-            out._accumulate_raw((), (a4 + 2, b4), ONE)
-            out._accumulate_raw((), (a4, b4 + 2), ONE)
-    elif kind == R12:
-        for m4 in range(-4, -t4 - 1, -4):
-            n4 = -t4 - m4
-            if n4 > -4:
-                continue
-            out._accumulate_raw((m4, n4), (), ONE)
-    else:
-        for m4 in range(-4, -t4 - 1, -4):
-            n4 = -t4 - m4
-            if n4 > -1 or n4 % 2 == 0:
-                continue
-            out._accumulate_raw((m4,), (n4,), ONE)
+    for w, outer, m4, (inner, n4) in words:
+        factors = ((outer, m4), (inner, n4))
+        out._accumulate_raw(tuple(n for k, n in factors if k == "a12"), tuple(n for k, n in factors if k == "a1"), w)
     return out
 
 
@@ -401,50 +383,38 @@ def check_ideal_stability() -> Report:
     t4_max = 24
     solved_b = {}
     solved_d = {}
-    # the shift lowers a generator with n_u simple factors by 8 - 2 n_u
-    # quarters and scales it by the character value i^3 per simple factor
-    for kind, (least, step, n_u) in GENERATORS.items():
-        drop = 8 - 2 * n_u
-        for t4 in range(least, t4_max + 1, step):
-            img = make_R0(kind, t4).shift(1)
-            if not admissible_t4(kind, t4 - drop):
-                rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": kind, "t4": t4})
-            else:
-                resid = img - make_R0(kind, t4 - drop).scale(i_power(3 * n_u))
-                rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": kind, "t4": t4})
     # Companion map: psi(shift(a)) = a * u(-1/4) exactly, so the residual
     # content is the decomposition of g*u(-1/4) - u(-1/4)*g against the
-    # generator one quarter up.
-    for t4 in range(2, t4_max + 1, 2):
-        g = make_R0(R1, t4)
-        rep.record(
-            g.shift(1).psi() == g.right_mul_u(-1),
-            {"identity": "companion-exactness", "kind": R1, "t4": t4},
-        )
+    # generator one quarter up (uu against zu, zu against zz); zz is central.
+    above = {R1: (R121, solved_b), R121: (R12, solved_d)}
+    for kind, t4 in _generator_keys(t4_max):
+        g = make_R0(kind, t4)
+        img = g.shift(1)
+        # the shift lowers a generator with n_u simple factors by 8 - 2 n_u
+        # quarters and scales it by the character value i^3 per simple factor
+        n_u = GENERATORS[kind][2]
+        low4 = t4 - 8 + 2 * n_u
+        if not admissible_t4(kind, low4):
+            rep.record(_is_positive_part(img), {"identity": "shift-boundary", "kind": kind, "t4": t4})
+        else:
+            resid = img - make_R0(kind, low4).scale(i_power(3 * n_u))
+            rep.record(_is_positive_part(resid), {"identity": "shift-descent", "kind": kind, "t4": t4})
+        if kind == R1:
+            rep.record(img.psi() == g.right_mul_u(-1), {"identity": "companion-exactness", "kind": kind, "t4": t4})
         diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
-        if t4 + 1 < 5:
-            rep.record(_is_positive_part(diff), {"identity": "companion-low", "kind": R1, "t4": t4})
+        if kind == R12:
+            rep.record(diff.is_zero(), {"identity": "companion-central", "kind": kind, "t4": t4})
             continue
-        const = _match_constant(diff, make_R0(R121, t4 + 1))
+        up, solved = above[kind]
+        if not admissible_t4(up, t4 + 1):  # below it uu leaves a positive part, zu nothing
+            low = _is_positive_part(diff) if kind == R1 else diff.is_zero()
+            rep.record(low, {"identity": "companion-low", "kind": kind, "t4": t4})
+            continue
+        const = _match_constant(diff, make_R0(up, t4 + 1))
         ok = const is not None and not const.is_zero()
         if ok:
-            solved_b[str(Fraction(t4, 4))] = const.as_strings()
-        rep.record(ok, {"identity": "companion-decomposition", "kind": R1, "t4": t4})
-    for t4 in range(8, t4_max + 1, 4):
-        g = make_R0(R12, t4)
-        diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
-        rep.record(diff.is_zero(), {"identity": "companion-central", "kind": R12, "t4": t4})
-    for t4 in range(5, t4_max + 1, 2):
-        g = make_R0(R121, t4)
-        diff = g.right_mul_u(-1) - g._left_mul_word((), (-1,))
-        if t4 + 1 < 8 or (t4 + 1) % 4:
-            rep.record(diff.is_zero(), {"identity": "companion-low", "kind": R121, "t4": t4})
-            continue
-        const = _match_constant(diff, make_R0(R12, t4 + 1))
-        ok = const is not None and not const.is_zero()
-        if ok:
-            solved_d[str(Fraction(t4, 4))] = const.as_strings()
-        rep.record(ok, {"identity": "companion-decomposition", "kind": R121, "t4": t4})
+            solved[str(Fraction(t4, 4))] = const.as_strings()
+        rep.record(ok, {"identity": "companion-decomposition", "kind": kind, "t4": t4})
     rep.details["solved_b"] = solved_b
     rep.details["solved_d"] = solved_d
     return rep

@@ -724,17 +724,16 @@ class _LocalApplier:
       creating exponential of each (kind, target weight, leftover) at that
       width; zero whether a (kind, argument)'s kernels are all empty on
       the multisets of a weight; and digits the inner operator's kernels on
-      the current bucket's basis, unpacked, dropped when the bucket
-      changes.  A kernel that reads an entry off its weight, or has a digit
-      past the slots of its weight, fails the test it meets, and off_weight
-      keeps the first one's (kind, argument, modes) for
-      details.off_weight_kernel.
+      the current bucket's basis, unpacked.  A kernel that reads an entry
+      off its weight, or has a digit past the slots of its weight, fails
+      the test it meets, and off_weight keeps the first one's (kind,
+      argument, modes) for details.off_weight_kernel.
     - sum_vanishes, the quadratic zero test, factorizes words of one outer
-      kind through the same expansions.
-    - apply goes through TwistedFock._apply_whole on the same
-      expansions, and unit_image keeps the images k(n)*m of the current
-      bucket's basis monomials in units, which the quadratic sweep reads
-      and clears at each new bucket.
+      kind through the same expansions, on the inner images k(n)*m of the
+      current bucket's basis monomials m that unit_image keeps in units,
+      each made once by apply (TwistedFock._apply_whole).
+    - Both zero tests take (bucket, words); the per-bucket tables, digits
+      and units, are dropped when the bucket changes (_enter).
     """
 
     def __init__(self, fock: TwistedFock):
@@ -746,7 +745,7 @@ class _LocalApplier:
         self.dens = LazyTable(lambda key: _uniform_den(fock.vertex[key[0]], key[1]))
         self.width = _SLOT_BITS
         self.off_weight = None  # the first _OffWeight key a zero test met
-        self.bucket = None  # the bucket digits holds
+        self.bucket = None  # the bucket digits and units hold
         self._drop_kernels()
 
     def _drop_kernels(self) -> None:
@@ -768,6 +767,12 @@ class _LocalApplier:
     def apply(self, kind: str, n4: int, vec: FockVector) -> FockVector:
         return self.fock._apply_whole(kind, n4, vec, self.expansions)
 
+    def _enter(self, bucket: BucketKey) -> None:
+        if bucket != self.bucket:
+            self.bucket = bucket
+            self.digits.clear()
+            self.units.clear()
+
     def _check_width(self, bound: int) -> None:
         """A zero sum counts only while its digits, at most bound times the
         widest numerator, cannot carry."""
@@ -782,9 +787,7 @@ class _LocalApplier:
         carry, the kernels and the zero table are dropped and the test is
         redone at twice the width.  A kernel off its weight fails the test,
         and the first one met is kept in off_weight."""
-        if bucket != self.bucket:
-            self.bucket = bucket
-            self.digits.clear()
+        self._enter(bucket)
         while True:
             try:
                 return self._vanishes_on(bucket, words)
@@ -847,11 +850,18 @@ class _LocalApplier:
         self._check_width(sum(map(mul, mags, norms)))
         return True
 
-    def sum_vanishes(self, kind: str, terms) -> bool:
-        """Whether sum w * kind(n4) vec over terms (w, n4, vec) of one vertex
-        kind is zero, decided by one _convolve pass on the unreduced integer
-        numerators."""
-        return _all_zero(self.fock._convolve(kind, terms, self.expansions)[0])
+    def sum_vanishes(self, bucket: BucketKey, words) -> List[bool]:
+        """Whether sum w * kind(n4) inner e over words (w, kind, n4, inner) of
+        one outer kind, inner an operator (kind, n4) applied first, is zero,
+        for each basis monomial e of bucket in enumerate_bucket order; each
+        decided by one _convolve pass on the unreduced integer numerators.
+        An empty sum is zero on every monomial."""
+        self._enter(bucket)
+        out = []
+        for e in enumerate_bucket(*bucket):
+            terms = [(w, n4, self.unit_image(*inner, e)) for w, _, n4, inner in words]
+            out.append(not terms or _all_zero(self.fock._convolve(words[0][1], terms, self.expansions)[0]))
+        return out
 
     def unit_image(self, kind: str, n4: int, mono: FockMonomial) -> FockVector:
         key = (kind, n4, mono)

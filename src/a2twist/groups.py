@@ -23,6 +23,7 @@ from .lattice import (
     gram,
     nu,
 )
+from .report import Report
 from .scalar import GaussianRational, i_power
 
 HAT_L = "hatL"
@@ -174,13 +175,12 @@ class CosetModel:
         return gram(h, ALPHA1.scaled(c))
 
 
-def group_invariant_report():
+def group_invariant_report() -> Report:
     """Grid verification of the group layer: cocycle identities, group
     axioms, commutator recovery, the lifted involution's order and square,
     its automorphism property for both multiplications, the character's
     defining relations and factorization independence, and the coset
     action being a group action."""
-    from .suites import Report  # local import to avoid a cycle
     from .lattice import commutator_C0_exp, commutator_C_exp
 
     rep = Report("group-layer")

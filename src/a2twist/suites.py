@@ -7,7 +7,7 @@ rule.  They run on the engine and the zero tests of fock.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .fock import (
     VACUUM,
@@ -25,40 +25,8 @@ from .fock import (
     enumerate_bucket,
 )
 from .lattice import LatticeVector, gram, nu
+from .report import Report
 from .scalar import GaussianRational, ONE, ZERO, i_power
-
-
-# --- reporting ----------------------------------------------------------------
-
-
-class Report:
-    """Outcome of one verification suite; a suite that checked nothing fails."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.mismatched = False
-        self.checked = 0
-        self.failures: List[dict] = []
-        self.details: Dict[str, object] = {}
-
-    @property
-    def passed(self) -> bool:
-        return self.checked > 0 and not self.mismatched
-
-    def record(self, ok: bool, failure: Optional[dict] = None) -> None:
-        self.checked += 1
-        if not ok:
-            self.mismatched = True
-            if failure is not None and len(self.failures) < 10:
-                self.failures.append(failure)
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed, "checked": self.checked}
-        if self.details:
-            out["details"] = self.details
-        if self.failures:
-            out["first_failures"] = self.failures
-        return out
 
 
 # --- the packed sweeps ----------------------------------------------------------
@@ -201,6 +169,15 @@ def check_brackets(fock: TwistedFock, cutoff: int, max_mode4: int = 12) -> Repor
 
 # --- quadratic relation sums ------------------------------------------------
 
+# The truncated quadratic relation generators by kind, with two simple
+# factors (R1), two central ones (R12) or one of each (R121): kind ->
+# (least quarter-degree, step, number of simple factors).  A kind's families
+# live at the quarter-degrees least + k * step, k any integer.
+R1 = "uu"
+R12 = "zz"
+R121 = "zu"
+GENERATORS = {R1: (2, 2, 2), R12: (8, 4, 0), R121: (5, 2, 1)}
+
 # uu families: pairs (n1, n2) with n1 + n2 + 1/2 = -t contribute
 # phase(n2) * (x_left(n1 + 1/2) x_right(n2) + sign * x_left(n1) x_right(n2 + 1/2)).
 # The same-component sums come from the x2 -> x1 limit and carry no phase;
@@ -215,34 +192,42 @@ UU_FAMILIES = {
 
 
 def _quadratic_sums(t4: int, ucap: int, zcap: int):
-    """The degree-t quadratic sums through their finite windows, as (family,
-    outer kind, words), each word ((left index, right kind, right index),
-    weight) with the outer kind on the left, each product once; ucap and
-    zcap are the largest live quarter indices of the charge-1 and charge-2
-    components on the source bucket."""
-    if t4 % 2 == 0:
-        # paired simple-component sums, indices n1 + n2 + 1/2 = -t; a product
-        # inside the window comes from two neighbouring pairs, and its weights
-        # add (to twice either, so none cancels)
-        pairs = [
-            (a4, -t4 - 2 - a4) for a4 in range(-t4 - 2 - ucap, ucap + 1) if a4 % 2 and -t4 - 2 - a4 <= ucap
-        ]
-        for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
-            words: Dict[Tuple[int, str, int], GaussianRational] = {}
-            for a4, b4 in pairs:
-                w = i_power(-b4) if phased else ONE
-                for word, x in (((a4 + 2, rk, b4), w), ((a4, rk, b4 + 2), w.scale_frac(Fraction(sign)))):
-                    words[word] = words[word] + x if word in words else x
-            yield fam, lk, [(word, w) for word, w in words.items() if not w.is_zero()]
-    if t4 % 4 == 0:
-        # central-central sums, m1 + m2 = -t
-        ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]
-        yield "zz", "a12", [((m4, "a12", -t4 - m4), ONE) for m4 in ms]
-    if t4 % 2:
-        # central-simple sums, m + n = -t
-        ns = [n4 for n4 in range(-t4 - zcap, ucap + 1) if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap]
-        for rk in ("a1", "a2"):
-            yield "z" + rk, "a12", [((-t4 - n4, rk, n4), ONE) for n4 in ns]
+    """The degree-t quadratic relation families through their finite
+    windows, the one place they are written: (family, generator kind,
+    words) for each kind of GENERATORS with a family at t4, each word
+    (weight, outer kind, left index, (right kind, right index)) as the zero
+    tests of _LocalApplier read it, each product once, its left kind the
+    family's.  ucap and zcap are the largest live quarter indices of the
+    charge-1 and charge-2 components on the source bucket; envelope.make_R0
+    reads the generators off the window of negative indices."""
+    for kind, (least, step, _) in GENERATORS.items():
+        if (t4 - least) % step:
+            continue
+        if kind == R1:
+            # paired simple-component sums, indices n1 + n2 + 1/2 = -t; a
+            # product inside the window comes from two neighbouring pairs,
+            # and its weights add (to twice either, so none cancels).  Left
+            # indices descend: that orders make_R0's terms, and the
+            # presentation's echelon bases number their columns in it
+            pairs = [
+                (a4, -t4 - 2 - a4) for a4 in range(ucap, -t4 - 3 - ucap, -1) if a4 % 2 and -t4 - 2 - a4 <= ucap
+            ]
+            for fam, (lk, rk, sign, phased) in UU_FAMILIES.items():
+                words: Dict[Tuple[int, int], GaussianRational] = {}
+                for a4, b4 in pairs:
+                    w = i_power(-b4) if phased else ONE
+                    for pair, x in (((a4 + 2, b4), w), ((a4, b4 + 2), w.scale_frac(Fraction(sign)))):
+                        words[pair] = words[pair] + x if pair in words else x
+                yield fam, kind, [(w, lk, a4, (rk, b4)) for (a4, b4), w in words.items() if not w.is_zero()]
+        elif kind == R12:
+            # central-central sums, m1 + m2 = -t
+            ms = [m4 for m4 in range(-t4 - zcap, zcap + 1) if m4 % 4 == 0 and -t4 - m4 <= zcap]
+            yield "zz", kind, [(ONE, "a12", m4, ("a12", -t4 - m4)) for m4 in ms]
+        else:
+            # central-simple sums, m + n = -t
+            ns = [n4 for n4 in range(-t4 - zcap, ucap + 1) if n4 % 2 and (-t4 - n4) % 4 == 0 and -t4 - n4 <= zcap]
+            for rk in ("a1", "a2"):
+                yield "z" + rk, kind, [(ONE, "a12", -t4 - n4, (rk, n4)) for n4 in ns]
 
 
 def check_quadratic_relations(
@@ -257,30 +242,27 @@ def check_quadratic_relations(
     provably zero once its right factor's target drops below ground, and
     past the capacity bound on the left index the paired terms cancel after
     swapping (the two central corrections cancel; for the central factor
-    the swap is exact).  A sum whose lowest right index needs an
-    intermediate bucket beyond max_intermediate is skipped and counted, so
-    every enumerated sum is either checked or counted.
+    the swap is exact).  Each sum is decided on every basis vector of the
+    bucket by one factorized zero test (_LocalApplier.sum_vanishes).  A sum
+    whose lowest right index needs an intermediate bucket beyond
+    max_intermediate is skipped and counted, so every enumerated sum is
+    either checked or counted.
     """
     rep = Report("quadratic-relations")
     skipped = 0
     local = _LocalApplier(fock)
     for bucket in all_buckets(vec_cutoff):
         c, l = bucket
-        local.units.clear()
         basis = enumerate_bucket(*bucket)
         ucap = l - (c + 1) * (c + 1)  # largest live quarter index for charge-1 components
         zcap = l - (c + 2) * (c + 2)
         for t4 in range(-8, t4_max + 1):
-            for fam, kind, words in _quadratic_sums(t4, ucap, zcap):
-                if words and l - min(b4 for (_, _, b4), _ in words) > max_intermediate:
+            for fam, _, words in _quadratic_sums(t4, ucap, zcap):
+                if words and l - min(b4 for _, _, _, (_, b4) in words) > max_intermediate:
                     skipped += len(basis)
                     continue
-                for mono in basis:
-                    combination = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
-                    rep.record(
-                        local.sum_vanishes(kind, combination),
-                        {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)},
-                    )
+                for mono, ok in zip(basis, local.sum_vanishes(bucket, words)):
+                    rep.record(ok, {"family": fam, "t4": t4, "bucket": bucket, "monomial": repr(mono)})
     rep.details["skipped_vector_sums"] = skipped
     return rep
 

@@ -4,7 +4,7 @@ import pytest
 
 from a2twist import cli, fock
 from a2twist.cli import main
-from a2twist.suites import Report
+from a2twist.report import Report
 
 
 def run(capsys, argv):

@@ -151,6 +151,43 @@ def test_R0_frozen_forms():
     }
 
 
+def explicit_R0(kind, t4):
+    """The truncated degree-t relation generator written out pair by pair,
+    every index pair (n1, n2) negative before the half-step shift: the
+    reference make_R0, which reads the generator of the quadratic sums, is
+    compared against."""
+    out = EnvElement()
+    if kind == R1:
+        for a4 in range(-1, -t4 - 2, -2):
+            b4 = -t4 - 2 - a4
+            if b4 > -1:
+                continue
+            out._accumulate_raw((), (a4 + 2, b4), ONE)
+            out._accumulate_raw((), (a4, b4 + 2), ONE)
+    elif kind == R12:
+        for m4 in range(-4, -t4 - 1, -4):
+            n4 = -t4 - m4
+            if n4 > -4:
+                continue
+            out._accumulate_raw((m4, n4), (), ONE)
+    else:
+        for m4 in range(-4, -t4 - 1, -4):
+            n4 = -t4 - m4
+            if n4 > -1 or n4 % 2 == 0:
+                continue
+            out._accumulate_raw((m4,), (n4,), ONE)
+    return out
+
+
+def test_R0_is_the_explicit_formula():
+    keys = _generator_keys(60)
+    assert len(keys) == 72
+    for kind, t4 in keys:
+        assert make_R0(kind, t4) == explicit_R0(kind, t4), (kind, t4)
+    # the half-step shift leaves a nonnegative factor in the lowest generator
+    assert ((), (-3, 1)) in make_R0(R1, 2).terms
+
+
 def test_R0_admissibility():
     with pytest.raises(ValueError):
         make_R0(R1, 1)

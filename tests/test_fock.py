@@ -812,6 +812,26 @@ def test_unit_images_are_computed_once(fock):
     assert local.unit_image("a1", -1, mono) == fock.apply("a1", -1, FockVector.unit(mono))
 
 
+def test_both_zero_tests_drop_the_per_bucket_tables_when_the_bucket_changes(fock):
+    # digits and units hold kernels and images on the current bucket's
+    # basis only, whichever zero test moved the applier there
+    words = [(ONE, "a1", -1, ("a1", -3)), (gr(-1), "a1", -3, ("a1", -1))]
+
+    def digits(local):
+        return {key: set(table) for key, table in local.digits.items()}
+
+    local = _LocalApplier(fock)
+    local.sum_vanishes((1, 9), words)
+    local.bucket_vanishes((1, 9), words)
+    assert local.digits and {mono for _, _, mono in local.units} == set(enumerate_bucket(1, 9))
+    local.bucket_vanishes((0, 8), words)
+    alone = _LocalApplier(fock)
+    alone.bucket_vanishes((0, 8), words)
+    assert not local.units and digits(local) == digits(alone)
+    local.sum_vanishes((-1, 11), words)
+    assert not local.digits and {mono for _, _, mono in local.units} == set(enumerate_bucket(-1, 11))
+
+
 VERTEX_CHARGES = range(-3, 4)
 
 
@@ -874,9 +894,12 @@ def reference_sum(fock, terms):
 
 
 def factorized(local, terms):
-    """local.sum_vanishes on terms (w, kind, n4, vec) of one vertex kind."""
+    """The factorized zero test _LocalApplier.sum_vanishes runs, one
+    _convolve pass on local's expansions, on terms (w, kind, n4, vec) of one
+    vertex kind."""
     (kind,) = {kind for _, kind, _, _ in terms}
-    return local.sum_vanishes(kind, [(w, n4, vec) for w, _, n4, vec in terms])
+    accs = local.fock._convolve(kind, [(w, n4, vec) for w, _, n4, vec in terms], local.expansions)[0]
+    return fock_module._all_zero(accs)
 
 
 def test_charge_free_table_matches_reference_across_charges():
@@ -947,37 +970,46 @@ def test_charge_free_table_matches_reference_across_charges():
 
 
 def test_both_zero_tests_agree_on_every_quadratic_sum(fock):
-    # every combination the quadratic suite builds at cutoff 2, asked of the
-    # records (vanishes) and the factorized test (sum_vanishes); then, where
-    # some word's image is nonzero, with the last such word dropped and with
-    # its weight doubled, which leave its image over and so must read nonzero
+    # every (bucket, words) the quadratic suite asks of sum_vanishes at
+    # cutoff 2, each verdict against the records (vanishes); then, on each
+    # basis monomial where some word's image is nonzero, with the last such
+    # word dropped and with its weight doubled, which leave its image over
+    # and so must read nonzero
     local = _LocalApplier(fock)
 
-    def both(kind, terms):
-        records = vanishes(local, [(w, kind, n4, vec) for w, n4, vec in terms])
-        assert local.sum_vanishes(kind, terms) == records
-        return records
+    def both(bucket, words):
+        got = local.sum_vanishes(bucket, words)
+        basis = enumerate_bucket(*bucket)
+        assert len(got) == len(basis)
+        for mono, ok in zip(basis, got):
+            terms = [(w, kind, n4, local.unit_image(*inner, mono)) for w, kind, n4, inner in words]
+            assert ok == vanishes(local, terms), (bucket, words, mono)
+        return got
 
-    perturbed = 0
+    checks = empty = perturbed = 0
     for bucket in all_buckets(2):
         c, l = bucket
+        basis = enumerate_bucket(*bucket)
         for t4 in range(-8, 25):
-            for fam, kind, words in suites_module._quadratic_sums(t4, l - (c + 1) ** 2, l - (c + 2) ** 2):
-                if words and l - min(b4 for (_, _, b4), _ in words) > 26:
+            for fam, _, words in suites_module._quadratic_sums(t4, l - (c + 1) ** 2, l - (c + 2) ** 2):
+                if words and l - min(b4 for _, _, _, (_, b4) in words) > 26:
                     continue  # skipped by the suite
-                for mono in enumerate_bucket(*bucket):
-                    terms = [(w, a4, local.unit_image(rk, b4, mono)) for (a4, rk, b4), w in words]
-                    assert both(kind, terms), (fam, t4, mono)
-                    live = [k for k, term in enumerate(terms) if not both(kind, [term])]
+                assert all(both(bucket, words)), (fam, t4, bucket)
+                checks += len(basis)
+                empty += 0 if words else len(basis)
+                singles = [both(bucket, [word]) for word in words]
+                for i, mono in enumerate(basis):
+                    live = [k for k, single in enumerate(singles) if not single[i]]
                     if live:
                         k = live[-1]
-                        w, a4, vec = terms[k]
-                        rest = terms[:k] + terms[k + 1 :]
-                        assert not both(kind, rest), (fam, t4, mono)
-                        assert not both(kind, rest + [(w.scale_frac(2), a4, vec)]), (fam, t4, mono)
+                        w, kind, n4, inner = words[k]
+                        rest = words[:k] + words[k + 1 :]
+                        assert not both(bucket, rest)[i], (fam, t4, mono)
+                        assert not both(bucket, rest + [(w.scale_frac(2), kind, n4, inner)])[i], (fam, t4, mono)
                         perturbed += 1
-    # of the 424 checks, 118 sum over an empty window and 60 over words
-    # whose images are each zero
+    # of the 424 checks, 118 sum over an empty window, which passes once per
+    # basis monomial, and 60 over words whose images are each zero
+    assert (checks, empty) == (424, 118)
     assert perturbed == 424 - 118 - 60
 
 

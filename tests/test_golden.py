@@ -1,4 +1,4 @@
-"""Canonical JSON of six fixed command lines, and the reports of three
+"""Canonical JSON of six fixed command lines, and the reports of four
 operator sweeps under known faults, byte for byte against fixtures
 committed under tests/golden/.  A change that alters any count, scalar,
 key order or failure detail in this output shows up here."""
@@ -59,6 +59,19 @@ def _doubled_a1_bracket(monkeypatch):
     monkeypatch.setattr(suites, "bracket_coeff", doubled)
 
 
+def _doubled_central_f0(monkeypatch):
+    # every engine made from here on contracts the fixed boson of the
+    # central component with twice its factor
+    init = TwistedFock.__init__
+
+    def doubled(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        data = self.vertex["a12"]
+        self.vertex["a12"] = data._replace(f0=2 * data.f0)
+
+    monkeypatch.setattr(TwistedFock, "__init__", doubled)
+
+
 FAILURES = [
     ("failures_relations_sign.json", _negated_sign, lambda fock: suites.check_linear_relations(fock, 12)),
     ("failures_brackets_sign.json", _negated_sign, lambda fock: suites.check_brackets(fock, 12, max_mode4=8)),
@@ -66,6 +79,11 @@ FAILURES = [
         "failures_brackets_a1a1_doubled.json",
         _doubled_a1_bracket,
         lambda fock: suites.check_brackets(fock, 12, max_mode4=8),
+    ),
+    (
+        "failures_quadratic_a12_f0_doubled.json",
+        _doubled_central_f0,
+        lambda fock: suites.check_quadratic_relations(fock, 4, t4_max=12, max_intermediate=16),
     ),
 ]
 
